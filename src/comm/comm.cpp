@@ -360,7 +360,7 @@ VolumeReport count_volume(const hpf::Program& prog, const CommPlan& plan, int ra
   const auto vals = analysis::param_values_for_rank(prog, rank);
   for (const auto& e : plan.events) {
     if (e.eliminated) continue;
-    const std::size_t n = e.data.count(vals);
+    const std::size_t n = e.data.cardinality(vals);
     if (e.kind == EventKind::Fetch) {
       rep.fetch_elems += n;
       if (n > 0) ++rep.fetch_events_nonempty;

@@ -255,7 +255,7 @@ double cost_of_choice(const hpf::Program& prog, const iset::Params& params,
     if (!r.array->distributed() || deferred.count(r.array)) return;
     const Set nl = nonlocal_data(is, iters, r, params);
     if (nl.is_empty()) return;
-    cost += kMsgCost + kElemCost * static_cast<double>(nl.count(rep_vals));
+    cost += kMsgCost + kElemCost * static_cast<double>(nl.cardinality(rep_vals));
   };
   for (const auto& r : a.rhs) add_ref(r);
   add_ref(a.lhs);  // non-owner writes must be sent back to the owner (§2)

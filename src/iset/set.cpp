@@ -400,14 +400,14 @@ Set Set::preimage(const AffineMap& map) const {
 
 namespace {
 
-/// Rational bounds of variable v in bs (given concrete params and outer
-/// variables already substituted): returns [lo, hi] candidates.
-bool var_bounds(const BasicSet& bs, const std::vector<i64>& params, std::size_t v,
-                const std::vector<i64>& fixed, i64* lo, i64* hi) {
-  // fixed holds values for vars [0, v); vars > v must already be projected
-  // away by the caller.
+/// Bounds of variable v in bs once params and the outer variables (`fixed`,
+/// values for vars [0, v)) are concrete; constraints on vars above v are
+/// skipped (the caller projected them away, or v is the last variable, in
+/// which case the interval is exact). nullopt when infeasible or unbounded.
+std::optional<Interval> var_bounds(const BasicSet& bs, const std::vector<i64>& params,
+                                   std::size_t v, const std::vector<i64>& fixed) {
   bool has_lo = false, has_hi = false;
-  i64 best_lo = 0, best_hi = 0;
+  Interval iv;
   for (const auto& c : bs.constraints()) {
     const i64 a = c.e.var[v];
     // residual = contribution of fixed vars + params + cst
@@ -419,146 +419,170 @@ bool var_bounds(const BasicSet& bs, const std::vector<i64>& params, std::size_t 
       if (c.e.var[i] != 0) higher_vars = true;
     if (higher_vars) continue;  // handled by the projected copies
     if (a == 0) {
-      if (c.is_eq ? (res != 0) : (res < 0)) return false;  // infeasible here
+      if (c.is_eq ? (res != 0) : (res < 0)) return std::nullopt;  // infeasible here
       continue;
     }
     // a*v + res >= 0 (or == 0)
     if (c.is_eq) {
       // a*v == -res must have an integer solution.
-      if ((-res) % a != 0) return false;
+      if ((-res) % a != 0) return std::nullopt;
       const i64 val = -res / a;
-      if (!has_lo || val > best_lo) best_lo = val, has_lo = true;
-      if (!has_hi || val < best_hi) best_hi = val, has_hi = true;
+      if (!has_lo || val > iv.lo) iv.lo = val, has_lo = true;
+      if (!has_hi || val < iv.hi) iv.hi = val, has_hi = true;
     } else if (a > 0) {
       // v >= ceil(-res / a); C++ division truncates toward zero.
       const i64 num = -res;
-      const i64 aa = (a > 0) ? a : -a;
-      i64 q = num / aa;
-      if (num % aa != 0 && num > 0) ++q;
-      if (!has_lo || q > best_lo) best_lo = q, has_lo = true;
+      i64 q = num / a;
+      if (num % a != 0 && num > 0) ++q;
+      if (!has_lo || q > iv.lo) iv.lo = q, has_lo = true;
     } else {
       // v <= floor(res / -a)
       const i64 na = -a;
       i64 q = res / na;
       if (res % na != 0 && res < 0) --q;
-      if (!has_hi || q < best_hi) best_hi = q, has_hi = true;
+      if (!has_hi || q < iv.hi) iv.hi = q, has_hi = true;
     }
   }
-  if (!has_lo || !has_hi) return false;  // unbounded: caller treats as error
-  *lo = best_lo;
-  *hi = best_hi;
-  return best_lo <= best_hi;
+  if (!has_lo || !has_hi || iv.lo > iv.hi) return std::nullopt;
+  return iv;
 }
 
+/// Sort and merge overlapping or adjacent intervals in place.
+void merge_runs(std::vector<Interval>& runs) {
+  std::sort(runs.begin(), runs.end(),
+            [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
+  std::size_t n = 0;
+  for (const Interval& iv : runs) {
+    if (n > 0 && iv.lo <= runs[n - 1].hi + 1)
+      runs[n - 1].hi = std::max(runs[n - 1].hi, iv.hi);
+    else
+      runs[n++] = iv;
+  }
+  runs.resize(n);
+}
+
+/// The descent behind Set::for_each_run. Level d < nvars-1 sweeps the
+/// values of variable d inside the alive parts' projected ranges in
+/// increasing order and recurses with the parts whose range holds the
+/// value; the last level asks the alive parts for their exact innermost
+/// intervals.
+class RunWalker {
+ public:
+  RunWalker(const std::vector<BasicSet>& parts, const std::vector<i64>& params,
+            const Set::RunFn& cb)
+      : parts_(parts), params_(params), cb_(cb), nvars_(parts.front().nvars()),
+        prefix_(nvars_ - 1), alive_(nvars_) {
+    // Projection cascade per part: proj[d] keeps variables 0..d (the last
+    // level reads the part itself).
+    for (const BasicSet& part : parts) {
+      std::vector<BasicSet> proj(nvars_ - 1, BasicSet(0, part.params()));
+      for (std::size_t d = nvars_ - 1; d > 0; --d)
+        proj[d - 1] = (d + 1 == nvars_ ? part : proj[d]).project_out(d);
+      proj_.push_back(std::move(proj));
+    }
+    for (std::size_t i = 0; i < parts.size(); ++i) alive_[0].push_back(i);
+  }
+
+  void run() { descend(0); }
+
+ private:
+  bool descend(std::size_t d) {
+    if (d + 1 == nvars_) {
+      runs_.clear();
+      for (std::size_t i : alive_[d])
+        if (auto iv = parts_[i].inner_interval(prefix_, params_)) runs_.push_back(*iv);
+      merge_runs(runs_);
+      return runs_.empty() || cb_(prefix_, runs_);
+    }
+    std::vector<std::pair<Interval, std::size_t>> ranges;
+    i64 v = 0, end = -1;
+    for (std::size_t i : alive_[d]) {
+      const auto iv = var_bounds(proj_[i][d], params_, d, prefix_);
+      if (!iv) continue;
+      require(iv->hi - iv->lo < 100000000, "iset", "run walk: variable range too large");
+      v = ranges.empty() ? iv->lo : std::min(v, iv->lo);
+      end = ranges.empty() ? iv->hi : std::max(end, iv->hi);
+      ranges.emplace_back(*iv, i);
+    }
+    std::vector<std::size_t>& next = alive_[d + 1];
+    while (v <= end) {
+      next.clear();
+      i64 gap_end = end + 1;  // next range start when no range holds v
+      for (const auto& [iv, i] : ranges) {
+        if (iv.lo <= v && v <= iv.hi)
+          next.push_back(i);
+        else if (iv.lo > v)
+          gap_end = std::min(gap_end, iv.lo);
+      }
+      if (next.empty()) {
+        v = gap_end;
+        continue;
+      }
+      prefix_[d] = v;
+      if (!descend(d + 1)) return false;
+      ++v;
+    }
+    return true;
+  }
+
+  const std::vector<BasicSet>& parts_;
+  const std::vector<i64>& params_;
+  const Set::RunFn& cb_;
+  std::size_t nvars_;
+  std::vector<std::vector<BasicSet>> proj_;
+  std::vector<i64> prefix_;
+  std::vector<std::vector<std::size_t>> alive_;  ///< parts alive per level
+  std::vector<Interval> runs_;
+};
+
 }  // namespace
+
+std::optional<Interval> BasicSet::inner_interval(const std::vector<i64>& prefix,
+                                                 const std::vector<i64>& params) const {
+  if (nvars_ == 0) return contains({}, params) ? std::optional<Interval>({0, 0}) : std::nullopt;
+  return var_bounds(*this, params, nvars_ - 1, prefix);
+}
+
+std::vector<Interval> Set::inner_intervals(const std::vector<i64>& prefix,
+                                           const std::vector<i64>& params) const {
+  std::vector<Interval> runs;
+  for (const auto& p : parts_)
+    if (auto iv = p.inner_interval(prefix, params)) runs.push_back(*iv);
+  merge_runs(runs);
+  return runs;
+}
+
+void Set::for_each_run(const std::vector<i64>& param_values, const RunFn& cb) const {
+  require(param_values.size() == params_.size(), "iset", "run walk: wrong param count");
+  if (parts_.empty()) return;
+  if (nvars_ == 0) {
+    if (contains({}, param_values)) cb({}, {Interval{0, 0}});
+    return;
+  }
+  RunWalker(parts_, param_values, cb).run();
+}
 
 void Set::enumerate(const std::vector<i64>& param_values,
                     const std::function<void(const std::vector<i64>&)>& cb) const {
-  require(param_values.size() == params_.size(), "iset", "enumerate: wrong param count");
   DHPF_COUNTER("iset.enumerations");
-  std::vector<std::vector<i64>> points;
-  for (const auto& part : parts_) {
-    // Projection cascade: proj[d] has vars 0..d (vars above projected away).
-    std::vector<BasicSet> proj(nvars_, BasicSet(0, params_));
+  for_each_run(param_values, [&](const std::vector<i64>& prefix,
+                                 const std::vector<Interval>& runs) {
     if (nvars_ == 0) {
-      if (part.contains({}, param_values)) points.push_back({});
-      continue;
+      cb(prefix);
+      return true;
     }
-    BasicSet cur = part;
-    for (std::size_t d = nvars_; d-- > 0;) {
-      proj[d] = cur;
-      if (d > 0) cur = cur.project_out(d);
-    }
-    std::vector<i64> point(nvars_, 0);
-    std::function<void(std::size_t)> descend = [&](std::size_t d) {
-      i64 lo, hi;
-      if (!var_bounds(proj[d], param_values, d, point, &lo, &hi)) return;
-      require(hi - lo < 100000000, "iset", "enumerate: variable range too large");
-      for (i64 v = lo; v <= hi; ++v) {
-        point[d] = v;
-        if (d + 1 == nvars_) {
-          // Final exactness filter against the original constraints.
-          if (part.contains(point, param_values)) points.push_back(point);
-        } else {
-          descend(d + 1);
-        }
-      }
-    };
-    descend(0);
-  }
-  // Deduplicate across union parts and emit in lexicographic order.
-  std::sort(points.begin(), points.end());
-  points.erase(std::unique(points.begin(), points.end()), points.end());
-  for (const auto& pt : points) cb(pt);
-}
-
-std::size_t Set::count(const std::vector<i64>& param_values) const {
-  std::size_t n = 0;
-  enumerate(param_values, [&](const std::vector<i64>&) { ++n; });
-  return n;
-}
-
-namespace {
-
-/// Points of one BasicSet under concrete params, without materializing them:
-/// the same projection-cascade descent enumerate() uses, with the final
-/// exactness re-check against the original constraints, but only a counter.
-std::size_t count_basic(const BasicSet& part, const std::vector<i64>& params) {
-  const std::size_t nvars = part.nvars();
-  if (nvars == 0) return part.contains({}, params) ? 1 : 0;
-  std::vector<BasicSet> proj(nvars, BasicSet(0, part.params()));
-  BasicSet cur = part;
-  for (std::size_t d = nvars; d-- > 0;) {
-    proj[d] = cur;
-    if (d > 0) cur = cur.project_out(d);
-  }
-  std::size_t total = 0;
-  std::vector<i64> point(nvars, 0);
-  std::function<void(std::size_t)> descend = [&](std::size_t d) {
-    i64 lo, hi;
-    if (!var_bounds(proj[d], params, d, point, &lo, &hi)) return;
-    require(hi - lo < 100000000, "iset", "cardinality: variable range too large");
-    for (i64 v = lo; v <= hi; ++v) {
-      point[d] = v;
-      if (d + 1 == nvars) {
-        if (part.contains(point, params)) ++total;
-      } else {
-        descend(d + 1);
+    std::vector<i64> point = prefix;
+    point.push_back(0);
+    for (const Interval& iv : runs) {
+      require(iv.hi - iv.lo < 100000000, "iset", "enumerate: variable range too large");
+      for (i64 x = iv.lo; x <= iv.hi; ++x) {
+        point.back() = x;
+        cb(point);
       }
     }
-  };
-  descend(0);
-  return total;
+    return true;
+  });
 }
-
-}  // namespace
-
-namespace {
-
-/// A - B as a *pairwise disjoint* list of BasicSets (Set::subtract's pieces
-/// may overlap, which is fine for emptiness but fatal for counting): piece i
-/// keeps B's constraints c_1..c_{i-1} and violates c_i, so distinct pieces
-/// disagree on the first violated constraint. Negating an equality yields
-/// the two (themselves disjoint) strict sides.
-std::vector<BasicSet> subtract_disjoint(const BasicSet& a, const BasicSet& b) {
-  std::vector<BasicSet> pieces;
-  BasicSet prefix = a;  // a ∩ c_1 ∩ ... ∩ c_{i-1}
-  for (const auto& c : b.constraints()) {
-    auto emit = [&](const LinExpr& violated) {
-      BasicSet piece = prefix;
-      piece.add(Constraint::ge0(violated));
-      if (piece.simplify() && !piece.is_empty()) pieces.push_back(std::move(piece));
-    };
-    // ¬(e >= 0) is -e-1 >= 0; ¬(e == 0) is (-e-1 >= 0) ∪ (e-1 >= 0).
-    emit(c.e * -1 - a.expr_const(1) + a.expr_zero());
-    if (c.is_eq) emit(c.e - a.expr_const(1) + a.expr_zero());
-    prefix.add(c);
-    if (!prefix.simplify()) break;  // remaining pieces all empty
-  }
-  return pieces;
-}
-
-}  // namespace
 
 std::size_t Set::cardinality(const std::vector<i64>& param_values) const {
   require(param_values.size() == params_.size(), "iset", "cardinality: wrong param count");
@@ -571,19 +595,11 @@ std::size_t Set::cardinality(const std::vector<i64>& param_values) const {
     kp = memo::intern_point(param_values);
     if (auto hit = memo::count_lookup(ks, kp)) return *hit;
   }
-  // Make the union disjoint: piece lists start from each part with every
-  // earlier part subtracted (disjointly), so per-piece counts add up exactly.
   std::size_t total = 0;
-  for (std::size_t i = 0; i < parts_.size(); ++i) {
-    std::vector<BasicSet> pieces{parts_[i]};
-    for (std::size_t j = 0; j < i && !pieces.empty(); ++j) {
-      std::vector<BasicSet> next;
-      for (const auto& piece : pieces)
-        for (auto& p : subtract_disjoint(piece, parts_[j])) next.push_back(std::move(p));
-      pieces = std::move(next);
-    }
-    for (const auto& piece : pieces) total += count_basic(piece, param_values);
-  }
+  for_each_run(param_values, [&](const std::vector<i64>&, const std::vector<Interval>& runs) {
+    for (const Interval& iv : runs) total += static_cast<std::size_t>(iv.hi - iv.lo + 1);
+    return true;
+  });
   if (cache) memo::count_store(ks, kp, total);
   return total;
 }
@@ -600,8 +616,11 @@ std::optional<std::vector<i64>> Set::sample(const std::vector<i64>& param_values
     }
   }
   std::optional<std::vector<i64>> first;
-  enumerate(param_values, [&](const std::vector<i64>& pt) {
-    if (!first) first = pt;
+  for_each_run(param_values, [&](const std::vector<i64>& prefix,
+                                 const std::vector<Interval>& runs) {
+    first = prefix;
+    if (nvars_ > 0) first->push_back(runs.front().lo);
+    return false;
   });
   if (cache) {
     memo::SampleResult r;

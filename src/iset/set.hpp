@@ -8,8 +8,9 @@
 // which makes is_empty() sound in the direction the compiler relies on:
 // "empty" answers are always true (so eliminating communication based on a
 // subset() result is safe); "non-empty" answers may rarely be conservative
-// (costing at most a redundant message). Point enumeration re-checks the
-// original constraints, so it is always exact.
+// (costing at most a redundant message). Point queries (the run walk and
+// everything built on it) solve the innermost variable against the
+// original constraints, so they are always exact.
 #pragma once
 
 #include <atomic>
@@ -26,6 +27,12 @@ namespace dhpf::iset {
 
 class AffineMap;
 class Set;
+
+/// Closed interval [lo, hi] of the innermost tuple variable.
+struct Interval {
+  i64 lo = 0;
+  i64 hi = -1;
+};
 
 std::shared_ptr<const Set> intern(const Set& s);
 
@@ -102,6 +109,12 @@ class BasicSet {
 
   [[nodiscard]] bool contains(const std::vector<i64>& vars,
                               const std::vector<i64>& params) const;
+
+  /// Exact values of the last variable with the others fixed to `prefix`:
+  /// each constraint is then a bound or a divisibility test on it, so no
+  /// projection is needed. A 0-ary set that holds answers [0, 0].
+  [[nodiscard]] std::optional<Interval> inner_interval(const std::vector<i64>& prefix,
+                                                       const std::vector<i64>& params) const;
 
   /// Gcd-normalize, fold constants, drop duplicates and tautologies.
   /// Returns false if a constraint is statically unsatisfiable.
@@ -189,29 +202,33 @@ class Set {
   /// Preimage under an affine map (exact substitution).
   [[nodiscard]] Set preimage(const AffineMap& map) const;
 
+  /// Sorted, merged inner_interval()s of all parts at `prefix`.
+  [[nodiscard]] std::vector<Interval> inner_intervals(const std::vector<i64>& prefix,
+                                                      const std::vector<i64>& params) const;
+
+  /// Gets one outer prefix (values of vars 0..nvars-2) and its sorted,
+  /// disjoint, non-adjacent innermost runs; returns false to stop.
+  using RunFn =
+      std::function<bool(const std::vector<i64>& prefix, const std::vector<Interval>& runs)>;
+
+  /// The run walk: the points for concrete parameter values as innermost
+  /// runs, prefixes in lexicographic order, in O(prefixes x parts). Outer
+  /// levels descend the parts' projection cascades; the last level is
+  /// exact (inner_interval), merging overlapping parts. A 0-ary set's
+  /// point is the run [0, 0] at the empty prefix. The set must be bounded.
+  void for_each_run(const std::vector<i64>& param_values, const RunFn& cb) const;
+
   /// Enumerate all integer points for concrete parameter values, in
-  /// lexicographic order. Exact (candidates from rational projection are
-  /// re-checked against the true constraints). Requires the set to be
-  /// bounded for these parameter values.
+  /// lexicographic order (the run walk, expanded point by point).
   void enumerate(const std::vector<i64>& param_values,
                  const std::function<void(const std::vector<i64>&)>& cb) const;
 
-  /// Number of points (enumerate-based; for tests and cost estimation).
-  [[nodiscard]] std::size_t count(const std::vector<i64>& param_values) const;
-
-  /// Exact number of integer points for concrete parameter values. Agrees
-  /// with count() but never materializes the point list: union parts are
-  /// made disjoint by subtraction (so overlap is not double-counted) and
-  /// each disjoint polyhedron is counted by a bounded descent that re-checks
-  /// the original constraints — the same exactness argument as enumerate().
-  /// This is the cost model's workhorse (dhpf::model); bumps the
-  /// iset.cardinalities counter.
+  /// Exact number of points for concrete parameter values: the run walk's
+  /// run lengths, summed in closed form. Bumps iset.cardinalities.
   [[nodiscard]] std::size_t cardinality(const std::vector<i64>& param_values) const;
 
   /// Lexicographically least integer point for concrete parameter values, or
-  /// nullopt when the set is empty there. Exact (same machinery as
-  /// enumerate()); the verifier uses this to extract counterexample
-  /// witnesses from non-empty difference sets.
+  /// nullopt when the set is empty there: the first point of the first run.
   [[nodiscard]] std::optional<std::vector<i64>> sample(
       const std::vector<i64>& param_values) const;
 

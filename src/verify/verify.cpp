@@ -156,11 +156,44 @@ std::string Report::to_json() const {
   return w.str();
 }
 
+Residue residue(const Set& need, const std::vector<i64>& v, const std::vector<Cover>& covers) {
+  Residue r;
+  std::vector<iset::Interval> cov;
+  need.for_each_run(v, [&](const std::vector<i64>& prefix,
+                           const std::vector<iset::Interval>& runs) {
+    cov.clear();
+    for (const Cover& c : covers)
+      for (const iset::Interval& iv : c.set->inner_intervals(prefix, *c.params))
+        cov.push_back(iv);
+    std::sort(cov.begin(), cov.end(),
+              [](const iset::Interval& a, const iset::Interval& b) { return a.lo < b.lo; });
+    auto left = [&](i64 lo, i64 hi) {
+      r.count += static_cast<std::size_t>(hi - lo + 1);
+      if (r.least) return;
+      r.least = prefix;
+      if (need.nvars() > 0) r.least->push_back(lo);
+    };
+    for (const iset::Interval& run : runs) {
+      i64 x = run.lo;  // first point of the run not yet known to be covered
+      for (const iset::Interval& c : cov) {
+        if (c.lo > run.hi || x > run.hi) break;
+        if (c.hi < x) continue;
+        if (c.lo > x) left(x, c.lo - 1);
+        x = c.hi + 1;
+      }
+      if (x <= run.hi) left(x, run.hi);
+    }
+    return true;
+  });
+  return r;
+}
+
 namespace {
 
 struct Ctx {
   const CompiledPlan& plan;
   const VerifyOptions& opt;
+  ResidueFn residue;
   Params params;
   int nprocs = 1;
   std::vector<std::vector<i64>> vals;  ///< per-rank parameter values
@@ -187,78 +220,24 @@ Set event_array_set(const CommEvent& e) {
   return s;
 }
 
-/// First concrete point of `s` over the ranks, with the rank it appears on.
-std::optional<std::pair<int, std::vector<i64>>> concrete_witness(const Ctx& ctx, const Set& s) {
-  for (int q = 0; q < ctx.nprocs; ++q) {
-    auto pt = s.sample(ctx.vals[static_cast<std::size_t>(q)]);
-    if (pt) return std::make_pair(q, std::move(*pt));
-  }
-  return std::nullopt;
-}
-
-/// Union-part budget above which the coverage test switches from the
-/// symbolic set difference to exact per-rank enumeration. Subtracting a
-/// heavily fragmented union multiplies complement parts combinatorially;
-/// the enumeration path is exact and exhaustive for the configured grid
-/// (every rank's parameter values are checked), just not symbolic.
-constexpr std::size_t kMaxSymbolicParts = 24;
-
-/// Intermediate-fragmentation cap for the symbolic path: each subtraction
-/// can split every remaining part, so even a small cover union can blow the
-/// difference up combinatorially (time *and* memory). When the running
-/// difference crosses this, the symbolic attempt is abandoned mid-way and
-/// the enumeration path decides instead.
-constexpr std::size_t kMaxIntermediateParts = 256;
-
-struct CoverResult {
-  bool covered = false;
-  std::optional<std::pair<int, std::vector<i64>>> witness;  ///< set iff provably uncovered
-  bool conservative = false;  ///< symbolically uncovered but no concrete witness
+/// need minus covers over every rank, each side at that rank's parameter
+/// values: the total left over, and the first such rank with its least point.
+struct Uncovered {
+  std::size_t count = 0;
+  std::optional<std::pair<int, std::vector<i64>>> witness;
 };
 
-/// Is need ⊆ ∪ covers? Symbolic difference when the covers are compact,
-/// exact per-rank point enumeration otherwise.
-CoverResult is_covered(const Ctx& ctx, const Set& need, const std::vector<const Set*>& covers) {
-  std::size_t parts = 0;
-  for (const Set* c : covers) parts += c->parts().size();
-  CoverResult res;
-  if (parts <= kMaxSymbolicParts) {
-    Set uncovered = need;
-    bool symbolic_ok = true;
-    for (const Set* c : covers) {
-      // Part-at-a-time so fragmentation is observable between steps; a
-      // whole-union subtract can blow up inside one call.
-      for (const iset::BasicSet& p : c->parts()) {
-        uncovered = uncovered.subtract(Set(p));
-        if (uncovered.parts().size() > kMaxIntermediateParts) {
-          symbolic_ok = false;
-          break;
-        }
-      }
-      if (!symbolic_ok) break;
-    }
-    if (symbolic_ok) {
-      if (uncovered.is_empty()) {
-        res.covered = true;
-        return res;
-      }
-      res.witness = concrete_witness(ctx, uncovered);
-      res.conservative = !res.witness.has_value();
-      return res;
-    }
-  }
+Uncovered uncovered(const Ctx& ctx, const Set& need, const std::vector<const Set*>& covers) {
+  Uncovered u;
   for (int q = 0; q < ctx.nprocs; ++q) {
     const std::vector<i64>& v = ctx.vals[static_cast<std::size_t>(q)];
-    need.enumerate(v, [&](const std::vector<i64>& pt) {
-      if (res.witness) return;
-      for (const Set* c : covers)
-        if (c->contains(pt, v)) return;
-      res.witness = std::make_pair(q, pt);
-    });
-    if (res.witness) return res;
+    std::vector<Cover> at_q;
+    for (const Set* c : covers) at_q.push_back({c, &v});
+    Residue r = ctx.residue(need, v, at_q);
+    u.count += r.count;
+    if (r.least && !u.witness) u.witness = std::make_pair(q, std::move(*r.least));
   }
-  res.covered = true;
-  return res;
+  return u;
 }
 
 /// Non-local elements the representative processor reads through `arr` in
@@ -345,24 +324,17 @@ void check_read_coverage(Ctx& ctx,
           produced = nonlocal_written(ctx, *last);
       std::vector<const Set*> covers{&received};
       if (produced) covers.push_back(&*produced);
-      const CoverResult cov = is_covered(ctx, need, covers);
-      if (cov.covered) continue;
+      const Uncovered u = uncovered(ctx, need, covers);
+      if (!u.witness) continue;
       Witness w;
       w.array = arr;
       w.stmt_id = id;
-      if (cov.witness) {
-        w.rank = cov.witness->first;
-        w.element = cov.witness->second;
-        ctx.diag(Check::ReadCoverage, Severity::Error,
-                 "statement S" + std::to_string(id) + " reads " + arr->name +
-                     " elements that are neither owned, received, nor locally produced",
-                 std::move(w));
-      } else {
-        ctx.diag(Check::ReadCoverage, Severity::Warning,
-                 "reads of " + arr->name + " in S" + std::to_string(id) +
-                     " are not symbolically covered (no concrete counterexample found)",
-                 std::move(w));
-      }
+      w.rank = u.witness->first;
+      w.element = u.witness->second;
+      ctx.diag(Check::ReadCoverage, Severity::Error,
+               "statement S" + std::to_string(id) + " reads " + arr->name +
+                   " elements that are neither owned, received, nor locally produced",
+               std::move(w));
     }
   }
 }
@@ -383,32 +355,18 @@ void check_replica_consistency(Ctx& ctx) {
     // (a) Every instance must execute on at least one rank, or the owner
     // copy of its lhs element never receives the serial value.
     const std::vector<i64>& v0 = ctx.vals[0];
-    if (all_iters.count(v0) <= ctx.opt.max_instances) {
-      std::optional<std::vector<i64>> missing;
-      std::size_t missing_count = 0;
-      all_iters.enumerate(v0, [&](const std::vector<i64>& pt) {
-        for (int q = 0; q < ctx.nprocs; ++q)
-          if (mine.contains(pt, ctx.vals[static_cast<std::size_t>(q)])) return;
-        ++missing_count;
-        if (!missing) missing = pt;
-      });
-      if (missing) {
-        Witness w;
-        w.array = a.lhs.array;
-        w.stmt_id = id;
-        w.element = lhs_map.eval(*missing, v0);
-        w.rank = owner_rank(*ctx.plan.prog, *a.lhs.array, w.element);
-        ctx.diag(Check::ReplicaConsistency, Severity::Error,
-                 "CP of S" + std::to_string(id) + " drops " + std::to_string(missing_count) +
-                     " instance(s): no rank executes them, the owner copy goes stale",
-                 std::move(w));
-      }
-    } else {
+    std::vector<Cover> executed;
+    for (const auto& v : ctx.vals) executed.push_back({&mine, &v});
+    const Residue dropped = ctx.residue(all_iters, v0, executed);
+    if (dropped.least) {
       Witness w;
+      w.array = a.lhs.array;
       w.stmt_id = id;
-      ctx.diag(Check::ReplicaConsistency, Severity::Warning,
-               "instance-execution check for S" + std::to_string(id) +
-                   " skipped (iteration space above max_instances)",
+      w.element = lhs_map.eval(*dropped.least, v0);
+      w.rank = owner_rank(*ctx.plan.prog, *a.lhs.array, w.element);
+      ctx.diag(Check::ReplicaConsistency, Severity::Error,
+               "CP of S" + std::to_string(id) + " drops " + std::to_string(dropped.count) +
+                   " instance(s): no rank executes them, the owner copy goes stale",
                std::move(w));
     }
 
@@ -416,9 +374,6 @@ void check_replica_consistency(Ctx& ctx) {
     // (owner-computes term included — the owner recomputes every replica,
     // so replicas are provably identical copies given read coverage) or be
     // written back to the owner.
-    const Set nonowner =
-        mine.apply(lhs_map).subtract(analysis::owned_set(*a.lhs.array, ctx.params));
-    if (nonowner.is_empty()) continue;
     const cp::OnHomeTerm own = cp::OnHomeTerm::from_ref(a.lhs);
     bool owner_included = false;
     for (const auto& t : sc.cp.terms)
@@ -431,26 +386,18 @@ void check_replica_consistency(Ctx& ctx) {
         continue;
       covered = covered.unite(event_array_set(ev));
     }
-    const Set uncovered = nonowner.subtract(covered);
-    if (uncovered.is_empty()) continue;
-    auto cw = concrete_witness(ctx, uncovered);
+    const Set owned = analysis::owned_set(*a.lhs.array, ctx.params);
+    const Uncovered u = uncovered(ctx, mine.apply(lhs_map), {&owned, &covered});
+    if (!u.witness) continue;
     Witness w;
     w.array = a.lhs.array;
     w.stmt_id = id;
-    if (cw) {
-      w.rank = cw->first;
-      w.element = cw->second;
-      ctx.diag(Check::ReplicaConsistency, Severity::Error,
-               "S" + std::to_string(id) + " writes non-owned elements of " +
-                   a.lhs.array->name +
-                   " that are never written back — cross-rank write-write race / lost update",
-               std::move(w));
-    } else {
-      ctx.diag(Check::ReplicaConsistency, Severity::Warning,
-               "non-owner writes of S" + std::to_string(id) +
-                   " not symbolically covered by write-backs (no concrete counterexample)",
-               std::move(w));
-    }
+    w.rank = u.witness->first;
+    w.element = u.witness->second;
+    ctx.diag(Check::ReplicaConsistency, Severity::Error,
+             "S" + std::to_string(id) + " writes non-owned elements of " + a.lhs.array->name +
+                 " that are never written back — cross-rank write-write race / lost update",
+             std::move(w));
   }
 }
 
@@ -472,25 +419,17 @@ void check_halo_sufficiency(Ctx& ctx) {
         // storage, so out-of-bounds accesses are not a halo-width problem.
         const Set fp = iters->apply(analysis::subscript_map(is, r.subs, ctx.params))
                            .intersect(analysis::index_set(*decl.array, ctx.params));
-        const Set uncovered = fp.subtract(ext);
-        if (uncovered.is_empty()) return;
-        auto cw = concrete_witness(ctx, uncovered);
+        const Uncovered u = uncovered(ctx, fp, {&ext});
+        if (!u.witness) return;
         Witness w;
         w.array = decl.array;
         w.stmt_id = id;
-        if (cw) {
-          w.rank = cw->first;
-          w.element = cw->second;
-          ctx.diag(Check::HaloSufficiency, Severity::Error,
-                   "access footprint of " + r.to_string() + " in S" + std::to_string(id) +
-                       " exceeds the declared overlap widths (" + decl.to_string() + ")",
-                   std::move(w));
-        } else {
-          ctx.diag(Check::HaloSufficiency, Severity::Warning,
-                   "footprint of " + r.to_string() + " in S" + std::to_string(id) +
-                       " not symbolically inside the declared overlap (no counterexample)",
-                   std::move(w));
-        }
+        w.rank = u.witness->first;
+        w.element = u.witness->second;
+        ctx.diag(Check::HaloSufficiency, Severity::Error,
+                 "access footprint of " + r.to_string() + " in S" + std::to_string(id) +
+                     " exceeds the declared overlap widths (" + decl.to_string() + ")",
+                 std::move(w));
       };
       check_ref(a.lhs);
       for (const auto& r : a.rhs) check_ref(r);
@@ -607,34 +546,20 @@ void check_dead_comm(Ctx& ctx) {
       if (it == ctx.plan.cps.stmts.end() || !it->second.stmt->is_assign()) continue;
       used = used.unite(nonlocal_read(ctx, it->second, ev.array));
     }
-    // Fully concrete: the byte count needs per-rank enumeration anyway, and a
-    // symbolic supplied − used difference can fragment badly when the event
-    // data is a wide union. Enumeration is exhaustive for the configured grid.
-    std::size_t elems = 0;
-    std::optional<std::pair<int, std::vector<i64>>> cw;
-    for (int q = 0; q < ctx.nprocs; ++q) {
-      const std::vector<i64>& v = ctx.vals[static_cast<std::size_t>(q)];
-      supplied.enumerate(v, [&](const std::vector<i64>& pt) {
-        if (used.contains(pt, v)) return;
-        ++elems;
-        if (!cw) cw = std::make_pair(q, pt);
-      });
-    }
-    if (elems == 0) continue;
-    const std::size_t bytes = elems * sizeof(double);
+    const Uncovered dead = uncovered(ctx, supplied, {&used});
+    if (dead.count == 0) continue;
+    const std::size_t bytes = dead.count * sizeof(double);
     total_bytes += bytes;
     Witness w;
     w.array = ev.array;
     w.event_id = ev.id;
     w.stmt_id = ev.stmt_id;
     w.bytes = bytes;
-    if (cw) {
-      w.rank = cw->first;
-      w.element = cw->second;
-    }
+    w.rank = dead.witness->first;
+    w.element = dead.witness->second;
     ctx.diag(Check::DeadComm, Severity::Warning,
              "fetch ev#" + std::to_string(ev.id) + " of " + ev.array->name + " carries " +
-                 std::to_string(elems) + " element(s) no consumer reads",
+                 std::to_string(dead.count) + " element(s) no consumer reads",
              std::move(w));
     DHPF_COUNTER("verify.dead_comm_messages");
   }
@@ -644,9 +569,13 @@ void check_dead_comm(Ctx& ctx) {
 }  // namespace
 
 Report check(const CompiledPlan& plan, const VerifyOptions& opt) {
+  return check_with(plan, residue, opt);
+}
+
+Report check_with(const CompiledPlan& plan, ResidueFn diff, const VerifyOptions& opt) {
   obs::ScopedTimer timer("verify.check");
   require(plan.prog != nullptr, "verify", "check: plan not bound (null program)");
-  Ctx ctx{plan, opt, analysis::make_params(*plan.prog), plan.nprocs(), {}, {}, {}};
+  Ctx ctx{plan, opt, diff, analysis::make_params(*plan.prog), plan.nprocs(), {}, {}, {}};
   for (int q = 0; q < ctx.nprocs; ++q)
     ctx.vals.push_back(analysis::param_values_for_rank(*plan.prog, q));
 

@@ -26,14 +26,15 @@
 //                          read needs is reported as a warning with byte
 //                          counts (also accumulated into dhpf::obs).
 //
-// Soundness direction: symbolic emptiness is exact when it answers "empty"
-// (iset/set.hpp), so a clean report is trustworthy; a symbolically
-// non-empty difference is confirmed by extracting a concrete witness
-// (exact point enumeration) before it becomes an error — conservative
-// non-emptiness without a witness is reported as a warning.
+// Exactness: every difference question ("need minus what covers it") is
+// answered per rank for the configured grid, over the innermost runs of
+// the sets (iset's run walk), so each finding carries the
+// lexicographically least concrete element left over — there is no
+// symbolic residue to report as a warning.
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -113,13 +114,34 @@ struct Report {
 
 struct VerifyOptions {
   bool lint_dead_comm = true;
-  /// Instance-enumeration budget for the concrete every-instance-executed
-  /// check; statements above it are skipped with a warning.
-  std::size_t max_instances = 200000;
 };
 
 /// Run all five check classes over a bound plan.
 Report check(const CompiledPlan& plan, const VerifyOptions& opt = {});
+
+/// One (set, parameter values) pair that covers points of a difference.
+struct Cover {
+  const iset::Set* set;
+  const std::vector<iset::i64>* params;
+};
+
+/// What is left of a difference at one rank.
+struct Residue {
+  std::size_t count = 0;
+  std::optional<std::vector<iset::i64>> least;  ///< lexicographically least point
+};
+
+/// The difference primitive under every check: the points of `need` at
+/// parameter values `v` that no cover contains, counted over innermost runs
+/// (each cover is asked for its intervals at the run's prefix).
+Residue residue(const iset::Set& need, const std::vector<iset::i64>& v,
+                const std::vector<Cover>& covers);
+
+/// check() with the difference primitive swapped; the differential tests
+/// run a point-enumeration oracle through the same checks.
+using ResidueFn = Residue (*)(const iset::Set&, const std::vector<iset::i64>&,
+                              const std::vector<Cover>&);
+Report check_with(const CompiledPlan& plan, ResidueFn diff, const VerifyOptions& opt = {});
 
 /// As check(), but throws VerifyError on the first error-severity
 /// diagnostic (warnings never throw).

@@ -26,7 +26,7 @@ TEST(Sets, OwnedSetBlock1D) {
   // rank 1: block size 4 -> [4, 7]
   auto vals = param_values_for_rank(prog, 1);
   EXPECT_EQ(vals, (std::vector<iset::i64>{4, 7}));
-  EXPECT_EQ(owned.count(vals), 4u);
+  EXPECT_EQ(owned.cardinality(vals), 4u);
   EXPECT_TRUE(owned.contains({5}, vals));
   EXPECT_FALSE(owned.contains({3}, vals));
 }
@@ -45,8 +45,8 @@ TEST(Sets, OwnedSetRespectsTemplateOffset) {
   auto owned_a = owned_set(*prog.find_array("a"), params);
   auto owned_b = owned_set(*prog.find_array("b"), params);
   // a(i) lives at template index i+1: rank 0 owns a(0..2) and b(0..3).
-  EXPECT_EQ(owned_a.count(vals), 3u);
-  EXPECT_EQ(owned_b.count(vals), 4u);
+  EXPECT_EQ(owned_a.cardinality(vals), 3u);
+  EXPECT_EQ(owned_b.cardinality(vals), 4u);
   EXPECT_TRUE(owned_a.contains({2}, vals));
   EXPECT_FALSE(owned_a.contains({3}, vals));
 }
@@ -62,7 +62,7 @@ TEST(Sets, BlocksPartitionData) {
   auto params = make_params(prog);
   auto owned = owned_set(*prog.find_array("a"), params);
   std::size_t total = 0;
-  for (int r = 0; r < 3; ++r) total += owned.count(param_values_for_rank(prog, r));
+  for (int r = 0; r < 3; ++r) total += owned.cardinality(param_values_for_rank(prog, r));
   EXPECT_EQ(total, 10u);  // partition of unity
 }
 
@@ -81,7 +81,7 @@ TEST(Sets, IterationSpaceTriangular) {
   const auto& lj = li.body[0]->loop();
   auto params = make_params(prog);
   IterSpace is = iteration_space({&li, &lj}, params);
-  EXPECT_EQ(iset::Set(is.bounds).count({}), 55u);
+  EXPECT_EQ(iset::Set(is.bounds).cardinality({}), 55u);
 }
 
 TEST(Sets, SubscriptMapEvaluates) {

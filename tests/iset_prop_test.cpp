@@ -16,7 +16,9 @@
 //
 // Plus the canonicalization pins: structurally equal sets built in
 // different constraint/part orders intern() to the same node (pointer
-// equality), and sample() witnesses survive interning.
+// equality), and sample() witnesses survive interning; and the point-query
+// pins: enumerate(), the run walk, cardinality() and sample() agree with a
+// brute-force scan of the bounding box.
 //
 // Every case is seeded; a failure reports its seed via SCOPED_TRACE.
 #include <gtest/gtest.h>
@@ -90,6 +92,43 @@ struct Gen {
     Set s(rank, no_params);
     const int parts = static_cast<int>(pick(1, 2));
     for (int k = 0; k < parts; ++k) s.add_part(basic(rank, base));
+    return s;
+  }
+
+  /// A part that exercises what the run walk must get right, inside the
+  /// box [-8, 8]^rank: a parameter-dependent block bound (the owned-set
+  /// shape, n in [-2, 2]), an equality with a non-unit coefficient (a
+  /// divisibility condition on one variable), and a random half-plane.
+  BasicSet rich(std::size_t rank, const Params& params) {
+    BasicSet bs(rank, params);
+    for (std::size_t v = 0; v < rank; ++v)
+      bs.add_bounds(v, bs.expr_const(pick(-8, -2)), bs.expr_const(pick(2, 8)));
+    if (pick(0, 1) == 1) {
+      const std::size_t v = static_cast<std::size_t>(pick(0, static_cast<i64>(rank) - 1));
+      const i64 width = pick(1, 4);
+      bs.add_bounds(v, bs.expr_param("n", 4) - bs.expr_const(width - 1),
+                    bs.expr_param("n", 4) + bs.expr_const(width));
+    }
+    if (pick(0, 2) == 0) {
+      const std::size_t v = static_cast<std::size_t>(pick(0, static_cast<i64>(rank) - 1));
+      LinExpr e = bs.expr_var(v, pick(2, 3)) + bs.expr_const(pick(-2, 2));
+      for (std::size_t u = 0; u < rank; ++u)
+        if (u != v) e = e - bs.expr_var(u, pick(-1, 1));
+      bs.add(Constraint::eq0(e));
+    }
+    if (pick(0, 1) == 1) {
+      LinExpr e = bs.expr_const(pick(-4, 4)) + bs.expr_param("n", pick(-1, 1));
+      for (std::size_t v = 0; v < rank; ++v) e = e + bs.expr_var(v, pick(-2, 2));
+      bs.add(Constraint::ge0(e));
+    }
+    return bs;
+  }
+
+  /// One to three rich parts, so unions overlap more often than not.
+  Set rich_set(std::size_t rank, const Params& params) {
+    Set s(rank, params);
+    const int parts = static_cast<int>(pick(1, 3));
+    for (int k = 0; k < parts; ++k) s.add_part(rich(rank, params));
     return s;
   }
 
@@ -191,8 +230,112 @@ TEST(IsetProp, CardinalityAdditiveOnDisjointUnions) {
     ASSERT_EQ(a.unite(d).cardinality({}), ca + cd);
     // cardinality() never materializes points; enumerate() does. Agree.
     ASSERT_EQ(ca, points_of(a).size());
-    ASSERT_EQ(cd, d.count({}));
+    ASSERT_EQ(cd, points_of(d).size());
   }
+}
+
+/// Ground truth for point queries that never goes through the run walk:
+/// every point of [-lim, lim]^rank the set contains, in lexicographic order.
+std::vector<std::vector<i64>> brute_points(const Set& s, const std::vector<i64>& params,
+                                           i64 lim) {
+  std::vector<std::vector<i64>> pts;
+  std::vector<i64> p(s.nvars(), -lim);
+  while (true) {
+    if (s.contains(p, params)) pts.push_back(p);
+    std::size_t d = s.nvars();
+    while (d > 0 && p[d - 1] == lim) p[--d] = -lim;
+    if (d == 0) return pts;
+    ++p[d - 1];
+  }
+}
+
+/// The run walk expanded point by point, checking the run contract on the
+/// way: prefixes strictly increasing, runs sorted, disjoint, non-adjacent.
+std::vector<std::vector<i64>> run_points(const Set& s, const std::vector<i64>& params) {
+  std::vector<std::vector<i64>> pts;
+  std::optional<std::vector<i64>> last_prefix;
+  s.for_each_run(params, [&](const std::vector<i64>& prefix, const std::vector<Interval>& runs) {
+    EXPECT_FALSE(runs.empty());
+    EXPECT_TRUE(!last_prefix || *last_prefix < prefix);
+    last_prefix = prefix;
+    for (std::size_t k = 0; k < runs.size(); ++k) {
+      EXPECT_LE(runs[k].lo, runs[k].hi);
+      if (k > 0) {
+        EXPECT_GT(runs[k].lo, runs[k - 1].hi + 1);
+      }
+      for (i64 x = runs[k].lo; x <= runs[k].hi; ++x) {
+        pts.push_back(prefix);
+        pts.back().push_back(x);
+      }
+    }
+    return true;
+  });
+  return pts;
+}
+
+TEST(IsetProp, PointQueriesMatchBruteForce) {
+  // enumerate(), the expanded run walk, cardinality() and sample() against a
+  // scan of the bounding box, on overlapping unions, their differences and
+  // (rank <= 2) their affine images, at several parameter values.
+  const Params params({"n"});
+  std::size_t nonempty = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+    Gen g(seed * 2654435761u);
+    const std::size_t r = 1 + seed % 3;
+    const Set a = g.rich_set(r, params);
+    const Set c = g.rich_set(r, params);
+    std::vector<std::pair<Set, i64>> cases{{a, 8}, {a.unite(c), 8}, {a.subtract(c), 8}};
+    if (r <= 2) {
+      AffineMap f(r, r, params);
+      for (std::size_t o = 0; o < r; ++o) {
+        f.out(o) = f.expr_const(g.pick(-3, 3));
+        for (std::size_t v = 0; v < r; ++v) f.out(o) = f.out(o) + f.expr_var(v, g.pick(-1, 2));
+      }
+      cases.emplace_back(a.apply(f), 60);
+    }
+    for (const auto& [s, lim] : cases) {
+      for (i64 n : {-2, 0, 1}) {
+        const std::vector<i64> pv{n};
+        const auto truth = brute_points(s, pv, lim);
+        std::vector<std::vector<i64>> enumerated;
+        s.enumerate(pv, [&](const std::vector<i64>& p) { enumerated.push_back(p); });
+        ASSERT_EQ(enumerated, truth) << s.to_string() << " n=" << n;
+        ASSERT_EQ(run_points(s, pv), truth) << s.to_string() << " n=" << n;
+        ASSERT_EQ(s.cardinality(pv), truth.size()) << s.to_string() << " n=" << n;
+        const auto first = s.sample(pv);
+        ASSERT_EQ(first.has_value(), !truth.empty());
+        if (first) {
+          ASSERT_EQ(*first, truth.front());
+        }
+        if (!truth.empty()) ++nonempty;
+      }
+    }
+  }
+  EXPECT_GT(nonempty, 1000u) << "generator collapsed to empty sets — vacuous test";
+}
+
+TEST(IsetProp, ZeroAryRunWalk) {
+  // A 0-ary set has one point (the empty tuple) or none: the walk reports it
+  // as the unit run at the empty prefix.
+  const Params params({"n"});
+  BasicSet bs(0, params);
+  bs.add(Constraint::ge0(bs.expr_param("n") - bs.expr_const(1)));
+  const Set s(bs);
+  ASSERT_EQ(s.cardinality({2}), 1u);
+  ASSERT_EQ(s.cardinality({0}), 0u);
+  ASSERT_EQ(s.sample({2}), std::vector<i64>{});
+  ASSERT_FALSE(s.sample({0}).has_value());
+  std::vector<std::pair<std::vector<i64>, std::vector<Interval>>> walked;
+  s.for_each_run({2}, [&](const std::vector<i64>& prefix, const std::vector<Interval>& rs) {
+    walked.emplace_back(prefix, rs);
+    return true;
+  });
+  ASSERT_EQ(walked.size(), 1u);
+  EXPECT_TRUE(walked[0].first.empty());
+  ASSERT_EQ(walked[0].second.size(), 1u);
+  EXPECT_EQ(walked[0].second[0].lo, 0);
+  EXPECT_EQ(walked[0].second[0].hi, 0);
 }
 
 /// One operation chain's observable results, captured bit-exactly.

@@ -95,7 +95,7 @@ TEST(IsetStress, TriangularAndDiagonalSets) {
   bs.add_bounds(0, bs.expr_const(0), bs.expr_const(6));
   bs.add_bounds(1, bs.expr_var(0), bs.expr_const(6));
   bs.add_bounds(2, bs.expr_var(1), bs.expr_const(6));
-  EXPECT_EQ(Set(bs).count({}), 84u);
+  EXPECT_EQ(Set(bs).cardinality({}), 84u);
 }
 
 TEST(IsetStress, EqualityPlanesEnumerateExactly) {
@@ -105,7 +105,7 @@ TEST(IsetStress, EqualityPlanesEnumerateExactly) {
   bs.add_bounds(1, bs.expr_const(0), bs.expr_const(5));
   bs.add(Constraint::eq0(bs.expr_var(0) + bs.expr_var(1) - bs.expr_const(7)));
   Set s(bs);
-  EXPECT_EQ(s.count({}), 6u);
+  EXPECT_EQ(s.cardinality({}), 6u);
   EXPECT_TRUE(s.contains({2, 5}, {}));
   EXPECT_FALSE(s.contains({1, 6}, {}));
 }
@@ -115,7 +115,7 @@ TEST(IsetStress, StridedEqualityDetectsIntegerInfeasibility) {
   // must prove emptiness.
   BasicSet bs(1, no_params);
   bs.add(Constraint::eq0(bs.expr_var(0) * 2 - bs.expr_const(5)));
-  EXPECT_EQ(Set(bs).count({}), 0u);  // enumeration is exact
+  EXPECT_EQ(Set(bs).cardinality({}), 0u);  // the innermost solve checks divisibility
 }
 
 TEST(IsetStress, MultiParameterSets) {
@@ -126,8 +126,8 @@ TEST(IsetStress, MultiParameterSets) {
   bs.add(Constraint::ge0(bs.expr_var(1) - bs.expr_param("lb1")));
   bs.add(Constraint::ge0(bs.expr_param("ub1") - bs.expr_var(1)));
   Set s(bs);
-  EXPECT_EQ(s.count({0, 3, 10, 11}), 8u);   // 4 x 2
-  EXPECT_EQ(s.count({5, 4, 0, 0}), 0u);     // empty block
+  EXPECT_EQ(s.cardinality({0, 3, 10, 11}), 8u);   // 4 x 2
+  EXPECT_EQ(s.cardinality({5, 4, 0, 0}), 0u);     // empty block
   EXPECT_FALSE(s.is_empty());               // satisfiable for SOME params
 }
 
@@ -190,13 +190,13 @@ TEST(IsetStress, UniteWithEmptyIsIdentity) {
   Set u = s.unite(Set::empty(3, no_params));
   EXPECT_TRUE(u.subset_of(s));
   EXPECT_TRUE(s.subset_of(u));
-  EXPECT_EQ(u.count({}), 27u);
+  EXPECT_EQ(u.cardinality({}), 27u);
 }
 
 TEST(IsetStress, EmptySetPrintsAndEnumerates) {
   Set e = Set::empty(2, no_params);
   EXPECT_EQ(e.to_string(), "{ }");
-  EXPECT_EQ(e.count({}), 0u);
+  EXPECT_EQ(e.cardinality({}), 0u);
   EXPECT_TRUE(e.is_empty());
 }
 
@@ -213,7 +213,7 @@ TEST(IsetStress, DeepProjectionCascade) {
   Set s(bs);
   Set shadow = s;
   for (int d = 4; d >= 1; --d) shadow = shadow.project_out(static_cast<std::size_t>(d));
-  EXPECT_EQ(shadow.count({}), 10u);
+  EXPECT_EQ(shadow.cardinality({}), 10u);
 }
 
 TEST(IsetStress, EnumerateLargeRangeGuard) {
@@ -226,7 +226,7 @@ TEST(IsetStress, EnumerateLargeRangeGuard) {
   Set s(bs);
   // var_bounds() reports failure (no upper bound) and the point is skipped:
   // enumerate returns nothing rather than hanging.
-  EXPECT_EQ(s.count({}), 0u);
+  EXPECT_EQ(s.cardinality({}), 0u);
 }
 
 TEST(IsetStress, GcdNormalizationInConstraints) {
@@ -236,7 +236,7 @@ TEST(IsetStress, GcdNormalizationInConstraints) {
   bs.add(Constraint::ge0(bs.expr_const(5) - bs.expr_var(0)));
   bs.simplify();
   Set s(bs);
-  EXPECT_EQ(s.count({}), 4u);  // 2..5
+  EXPECT_EQ(s.cardinality({}), 4u);  // 2..5
 }
 
 }  // namespace
