@@ -1,6 +1,7 @@
 #include "analysis/sets.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "support/diagnostics.hpp"
 
@@ -76,6 +77,87 @@ std::vector<i64> param_values_for_rank(const hpf::Program& prog, int rank) {
     vals.push_back(ub);
   }
   return vals;
+}
+
+ArrayOwner::ArrayOwner(const hpf::Array& a, const hpf::ProcGrid& grid,
+                       const std::vector<int>& template_ext) {
+  if (!a.distributed()) return;
+  int stride = 1;
+  for (std::size_t g = grid.extents.size(); g-- > 0;) {
+    // The last array dim BLOCK onto grid dim g picks its coordinate.
+    for (std::size_t d = a.dist.dims.size(); d-- > 0;) {
+      const auto& dim = a.dist.dims[d];
+      if (dim.kind != hpf::DistKind::Block || dim.proc_dim != static_cast<int>(g)) continue;
+      const int e = template_ext[g];
+      const int p = grid.extents[g];
+      dims_.push_back(Dim{d, a.dist.offset(d), (e + p - 1) / p, p - 1, stride});
+      break;
+    }
+    stride *= grid.extents[g];
+  }
+}
+
+i64 ArrayOwner::coord(const Dim& g, i64 x) {
+  return std::min(g.last, (x + g.offset) / g.block);
+}
+
+i64 ArrayOwner::block_end(const Dim& g, i64 x) {
+  const i64 t = x + g.offset;
+  const i64 q = t / g.block;  // truncates toward zero, as coord() does
+  if (q >= g.last) return std::numeric_limits<i64>::max();
+  i64 end = 0;  // last t with the same quotient
+  if (t >= 0)
+    end = (q + 1) * g.block - 1;
+  else if (q == 0)
+    end = g.block - 1;  // (-B, B) all truncate to 0
+  else
+    end = q * g.block;
+  return end - g.offset;
+}
+
+int ArrayOwner::rank(const std::vector<i64>& elem) const {
+  i64 r = 0;
+  for (const Dim& g : dims_) r += coord(g, elem[g.dim]) * g.stride;
+  return static_cast<int>(r);
+}
+
+void ArrayOwner::for_each_block(const std::vector<iset::Interval>& box,
+                                const std::function<void(int rank, std::size_t elems)>& cb) const {
+  std::size_t flat = 1;  // volume of the dims that do not pick the owner
+  for (std::size_t d = 0; d < box.size(); ++d)
+    if (std::none_of(dims_.begin(), dims_.end(), [&](const Dim& g) { return g.dim == d; }))
+      flat *= static_cast<std::size_t>(box[d].hi - box[d].lo + 1);
+  split(0, box, 0, flat, cb);
+}
+
+void ArrayOwner::split(std::size_t k, const std::vector<iset::Interval>& box, i64 rank,
+                       std::size_t elems,
+                       const std::function<void(int rank, std::size_t elems)>& cb) const {
+  if (k == dims_.size()) {
+    cb(static_cast<int>(rank), elems);
+    return;
+  }
+  const Dim& g = dims_[k];
+  const iset::Interval& iv = box[g.dim];
+  for (i64 x = iv.lo; x <= iv.hi;) {
+    const i64 y = std::min(iv.hi, block_end(g, x));
+    split(k + 1, box, rank + coord(g, x) * g.stride, elems * static_cast<std::size_t>(y - x + 1),
+          cb);
+    x = y + 1;
+  }
+}
+
+OwnerMap::OwnerMap(const hpf::Program& prog) {
+  const hpf::ProcGrid* grid = single_grid(prog);
+  const std::vector<int> ext = template_extents(prog);
+  for (const auto& a : prog.arrays())
+    arrays_.emplace(a.get(), grid ? ArrayOwner(*a, *grid, ext) : ArrayOwner());
+}
+
+const ArrayOwner& OwnerMap::of(const hpf::Array& a) const {
+  const auto it = arrays_.find(&a);
+  require(it != arrays_.end(), "analysis", "owner map: array " + a.name + " is not in the program");
+  return it->second;
 }
 
 std::size_t IterSpace::var_index(const std::string& name) const {

@@ -8,6 +8,8 @@
 // parameters so the sets stay affine).
 #pragma once
 
+#include <functional>
+#include <map>
 #include <vector>
 
 #include "hpf/ir.hpp"
@@ -26,6 +28,53 @@ std::vector<iset::i64> param_values_for_rank(const hpf::Program& prog, int rank)
 /// The template extent along each grid dimension (derived from the
 /// distributed arrays; all arrays mapped to a grid dim must agree).
 std::vector<int> template_extents(const hpf::Program& prog);
+
+/// HPF BLOCK ownership of one array's elements, with its block sizes
+/// precomputed: owner coordinate min(P-1, (x + offset) / B) per BLOCK dim,
+/// B = ceil(template extent / P), ranks linearized row-major. This is the
+/// one owner function behind codegen's stores and messages, the verifier's
+/// schedule and witnesses, and the model.
+class ArrayOwner {
+ public:
+  ArrayOwner() = default;  ///< a replicated array: everything on rank 0
+  ArrayOwner(const hpf::Array& a, const hpf::ProcGrid& grid, const std::vector<int>& template_ext);
+
+  [[nodiscard]] int rank(const std::vector<iset::i64>& elem) const;
+
+  /// Splits a box of elements (one [lo, hi] per array dim) at block
+  /// boundaries and gives each piece's owner rank and element count.
+  void for_each_block(const std::vector<iset::Interval>& box,
+                      const std::function<void(int rank, std::size_t elems)>& cb) const;
+
+ private:
+  struct Dim {
+    std::size_t dim = 0;    ///< array dimension
+    iset::i64 offset = 0;   ///< template alignment offset
+    iset::i64 block = 1;    ///< B
+    iset::i64 last = 0;     ///< P - 1 (trailing coordinates clamp here)
+    int stride = 1;         ///< rank weight of this grid dimension
+  };
+  [[nodiscard]] static iset::i64 coord(const Dim& g, iset::i64 x);
+  /// Last index y >= x of g's array dim with coord(y) == coord(x).
+  [[nodiscard]] static iset::i64 block_end(const Dim& g, iset::i64 x);
+  /// for_each_block over dims_[k..], the pieces so far at `rank`/`elems`.
+  void split(std::size_t k, const std::vector<iset::Interval>& box, iset::i64 rank,
+             std::size_t elems, const std::function<void(int rank, std::size_t elems)>& cb) const;
+
+  std::vector<Dim> dims_;  ///< one per grid dim an array dim is BLOCK onto
+};
+
+/// Every array's ArrayOwner (template extents computed once).
+class OwnerMap {
+ public:
+  explicit OwnerMap(const hpf::Program& prog);
+
+  /// The owner map of an array of this program.
+  [[nodiscard]] const ArrayOwner& of(const hpf::Array& a) const;
+
+ private:
+  std::map<const hpf::Array*, ArrayOwner> arrays_;
+};
 
 /// An iteration space: the loop variables of a loop path plus their bounds.
 struct IterSpace {

@@ -158,31 +158,6 @@ Store interpret_serial(const hpf::Program& prog) {
 
 namespace {
 
-struct DistInfo {
-  const hpf::ProcGrid* grid = nullptr;
-  std::vector<int> template_ext;
-
-  [[nodiscard]] int owner_rank(const Array& a, const std::vector<i64>& idx) const {
-    if (!a.distributed() || !grid) return 0;
-    int rank = 0;
-    for (std::size_t g = 0; g < grid->extents.size(); ++g) {
-      int coord = 0;
-      for (std::size_t d = 0; d < a.dist.dims.size(); ++d) {
-        const auto& dim = a.dist.dims[d];
-        if (dim.kind != hpf::DistKind::Block ||
-            dim.proc_dim != static_cast<int>(g))
-          continue;
-        const int e = template_ext[g];
-        const int p = grid->extents[g];
-        const int b = (e + p - 1) / p;
-        coord = std::min<int>(p - 1, static_cast<int>((idx[d] + a.dist.offset(d)) / b));
-      }
-      rank = rank * grid->extents[g] + coord;
-    }
-    return rank;
-  }
-};
-
 /// An anchored communication event plus its precomputed per-rank element
 /// groups: for rank q and outer-iteration prefix, the elements q must
 /// receive (fetch) / send back (write-back), grouped by peer rank.
@@ -199,7 +174,6 @@ struct AnchoredEvent {
 struct SpmdContext {
   const hpf::Program* prog = nullptr;
   const cp::CpResult* cps = nullptr;
-  DistInfo dist;
   std::vector<std::vector<i64>> rank_params;
   std::vector<AnchoredEvent> events;
   std::map<const Stmt*, std::vector<const AnchoredEvent*>> fetch_before;
@@ -236,16 +210,17 @@ bool guard_holds(const SpmdContext& ctx, const cp::CP& cp, const Env& env, int r
 }
 
 /// Pre-compute, for one event, every rank's element needs grouped by peer.
-void build_event_cache(const hpf::Program& prog, AnchoredEvent& ae, const DistInfo& dist,
-                       int nprocs) {
+void build_event_cache(const hpf::Program& prog, AnchoredEvent& ae,
+                       const analysis::OwnerMap& owners, int nprocs) {
   const std::size_t depth = ae.outer_vars.size();
   ae.cache.resize(static_cast<std::size_t>(nprocs));
+  const analysis::ArrayOwner& owner_of = owners.of(*ae.ev->array);
   for (int q = 0; q < nprocs; ++q) {
     const auto vals = analysis::param_values_for_rank(prog, q);
     ae.ev->data.enumerate(vals, [&](const std::vector<i64>& pt) {
       std::vector<i64> prefix(pt.begin(), pt.begin() + static_cast<std::ptrdiff_t>(depth));
       std::vector<i64> elem(pt.begin() + static_cast<std::ptrdiff_t>(depth), pt.end());
-      const int owner = dist.owner_rank(*ae.ev->array, elem);
+      const int owner = owner_of.rank(elem);
       if (owner == q) return;  // already local (can happen at block edges)
       ae.cache[static_cast<std::size_t>(q)][prefix][owner].push_back(std::move(elem));
     });
@@ -495,9 +470,8 @@ SpmdResult run_spmd(const hpf::Program& prog, const cp::CpResult& cps,
   ctx.prog = &prog;
   ctx.cps = &cps;
   ctx.opt = opt;
-  ctx.dist.grid = prog.grids().empty() ? nullptr : prog.grids().front().get();
-  ctx.dist.template_ext = analysis::template_extents(prog);
-  const int nprocs = ctx.dist.grid ? ctx.dist.grid->nprocs() : 1;
+  const analysis::OwnerMap owners(prog);
+  const int nprocs = prog.grids().empty() ? 1 : prog.grids().front()->nprocs();
   for (int r = 0; r < nprocs; ++r)
     ctx.rank_params.push_back(analysis::param_values_for_rank(prog, r));
 
@@ -545,7 +519,7 @@ SpmdResult run_spmd(const hpf::Program& prog, const cp::CpResult& cps,
   // so the builds fan out across the pass driver; the anchor lists are then
   // populated serially in event order (their order is observable downstream).
   exec::parallel_for(ctx.events.size(), [&](std::size_t i) {
-    build_event_cache(prog, ctx.events[i], ctx.dist, nprocs);
+    build_event_cache(prog, ctx.events[i], owners, nprocs);
   });
   for (auto& ae : ctx.events) {
     if (ae.ev->kind == EventKind::Fetch)
@@ -562,9 +536,10 @@ SpmdResult run_spmd(const hpf::Program& prog, const cp::CpResult& cps,
     for (const auto& a : prog.arrays()) {
       auto& v = ctx.stores[static_cast<std::size_t>(r)][a.get()];
       v.resize(array_size(*a));
+      const analysis::ArrayOwner& owner = owners.of(*a);
       std::vector<i64> idx(a->extents.size(), 0);
       for (std::size_t f = 0; f < v.size(); ++f) {
-        const bool mine = !a->distributed() || ctx.dist.owner_rank(*a, idx) == r;
+        const bool mine = !a->distributed() || owner.rank(idx) == r;
         v[f] = mine ? init_value(*a, f) : std::numeric_limits<double>::quiet_NaN();
         // advance the multi-index
         for (std::size_t d = a->extents.size(); d-- > 0;) {
@@ -623,9 +598,10 @@ SpmdResult run_spmd(const hpf::Program& prog, const cp::CpResult& cps,
       if (!a->distributed()) continue;
       auto& out = result.gathered[a.get()];
       out.resize(array_size(*a));
+      const analysis::ArrayOwner& owner_of = owners.of(*a);
       std::vector<i64> idx(a->extents.size(), 0);
       for (std::size_t f = 0; f < out.size(); ++f) {
-        const int owner = ctx.dist.owner_rank(*a, idx);
+        const int owner = owner_of.rank(idx);
         out[f] = ctx.stores[static_cast<std::size_t>(owner)].at(a.get())[f];
         for (std::size_t dd = a->extents.size(); dd-- > 0;) {
           if (++idx[dd] < a->extents[dd]) break;
@@ -641,9 +617,10 @@ SpmdResult run_spmd(const hpf::Program& prog, const cp::CpResult& cps,
     for (const auto& a : prog.arrays()) {
       if (!a->distributed()) continue;
       const auto& ref = serial.at(a.get());
+      const analysis::ArrayOwner& owner_of = owners.of(*a);
       std::vector<i64> idx(a->extents.size(), 0);
       for (std::size_t f = 0; f < ref.size(); ++f) {
-        const int owner = ctx.dist.owner_rank(*a, idx);
+        const int owner = owner_of.rank(idx);
         const double got = ctx.stores[static_cast<std::size_t>(owner)].at(a.get())[f];
         const double d = std::fabs(got - ref[f]);
         if (!(d <= worst)) worst = std::isnan(d) ? 1e30 : std::max(worst, d);

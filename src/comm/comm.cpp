@@ -355,6 +355,29 @@ CommPlan generate_comm(const hpf::Program& prog, const cp::CpResult& cps,
   return plan;
 }
 
+void for_each_peer_count(const analysis::OwnerMap& owners, const CommEvent& ev, int rank,
+                         const std::vector<iset::i64>& params, const PeerCountFn& cb) {
+  const auto depth = static_cast<std::size_t>(ev.placement_depth);
+  const analysis::ArrayOwner& owner = owners.of(*ev.array);
+  std::vector<iset::i64> prefix(depth);
+  std::vector<iset::Interval> elems;
+  const std::function<void(int, std::size_t)> piece = [&](int peer, std::size_t n) {
+    if (peer != rank) cb(prefix, peer, n);  // else local (block-edge clamping)
+  };
+  iset::walk_boxes({{&ev.data, &params}}, depth,
+                   [&](const std::vector<iset::Interval>& box,
+                       const std::vector<std::vector<iset::Interval>>& runs) {
+                     for (std::size_t d = 0; d < depth; ++d) prefix[d] = box[d].lo;
+                     elems.assign(box.begin() + static_cast<std::ptrdiff_t>(depth), box.end());
+                     elems.emplace_back();
+                     for (const iset::Interval& run : runs.front()) {
+                       elems.back() = run;
+                       owner.for_each_block(elems, piece);
+                     }
+                     return true;
+                   });
+}
+
 VolumeReport count_volume(const hpf::Program& prog, const CommPlan& plan, int rank) {
   VolumeReport rep;
   const auto vals = analysis::param_values_for_rank(prog, rank);

@@ -19,9 +19,11 @@
 // write is eliminated — the values are already locally available.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "analysis/sets.hpp"
 #include "cp/select.hpp"
 #include "hpf/ir.hpp"
 #include "iset/set.hpp"
@@ -68,6 +70,18 @@ struct CommPlan {
 /// Derive the communication plan for a program under the given CPs.
 CommPlan generate_comm(const hpf::Program& prog, const cp::CpResult& cps,
                        const CommOptions& opt = {});
+
+/// One event's element traffic at one rank, counted without listing the
+/// elements: `ev.data` at `params` (the rank's parameter values) is walked
+/// in boxes, folded below the outer-loop prefix, and each box is split at
+/// BLOCK boundaries. cb gets (outer-loop prefix, peer rank, element count)
+/// for every piece whose owner is not `rank` (fetch: the peer sends to
+/// `rank`; write-back: `rank` sends to the peer). One (prefix, peer) may
+/// arrive in several pieces, which callers add up.
+using PeerCountFn =
+    std::function<void(const std::vector<iset::i64>& prefix, int peer, std::size_t elems)>;
+void for_each_peer_count(const analysis::OwnerMap& owners, const CommEvent& ev, int rank,
+                         const std::vector<iset::i64>& params, const PeerCountFn& cb);
 
 /// Total non-local elements a given rank must receive (fetch events) /
 /// send back (write-back events), by concrete instantiation — used by the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "iset/intern.hpp"
@@ -224,6 +225,7 @@ void Set::add_part(BasicSet bs) {
   DHPF_COUNTER("iset.polyhedra_created");
   if (bs.simplify() && !bs.is_empty()) parts_.push_back(std::move(bs));
   rep_.store(0, std::memory_order_relaxed);
+  reset_plan();
 }
 
 Set Set::unite(const Set& o) const {
@@ -398,26 +400,28 @@ Set Set::preimage(const AffineMap& map) const {
   return r;
 }
 
+// ------------------------------------------------------------- box walk
+
 namespace {
 
-/// Bounds of variable v in bs once params and the outer variables (`fixed`,
-/// values for vars [0, v)) are concrete; constraints on vars above v are
-/// skipped (the caller projected them away, or v is the last variable, in
-/// which case the interval is exact). nullopt when infeasible or unbounded.
-std::optional<Interval> var_bounds(const BasicSet& bs, const std::vector<i64>& params,
-                                   std::size_t v, const std::vector<i64>& fixed) {
-  bool has_lo = false, has_hi = false;
-  Interval iv;
+constexpr i64 kOpenLo = std::numeric_limits<i64>::min();
+constexpr i64 kOpenHi = std::numeric_limits<i64>::max();
+
+/// Range of the last variable of `bs` once the parameters and the other
+/// variables (`outer`, values for vars [0, nvars-1)) are concrete: each
+/// constraint is then a bound or a divisibility test on it, so the range is
+/// exact. A side no constraint bounds is open (kOpenLo / kOpenHi); nullopt
+/// when infeasible there.
+std::optional<Interval> last_var_range(const BasicSet& bs, const std::vector<i64>& params,
+                                       const std::vector<i64>& outer) {
+  const std::size_t v = bs.nvars() - 1;
+  Interval iv{kOpenLo, kOpenHi};
   for (const auto& c : bs.constraints()) {
     const i64 a = c.e.var[v];
     // residual = contribution of fixed vars + params + cst
     i64 res = c.e.cst;
-    for (std::size_t i = 0; i < v; ++i) res += c.e.var[i] * fixed[i];
+    for (std::size_t i = 0; i < v; ++i) res += c.e.var[i] * outer[i];
     for (std::size_t j = 0; j < params.size(); ++j) res += c.e.param[j] * params[j];
-    bool higher_vars = false;
-    for (std::size_t i = v + 1; i < c.e.var.size(); ++i)
-      if (c.e.var[i] != 0) higher_vars = true;
-    if (higher_vars) continue;  // handled by the projected copies
     if (a == 0) {
       if (c.is_eq ? (res != 0) : (res < 0)) return std::nullopt;  // infeasible here
       continue;
@@ -427,25 +431,27 @@ std::optional<Interval> var_bounds(const BasicSet& bs, const std::vector<i64>& p
       // a*v == -res must have an integer solution.
       if ((-res) % a != 0) return std::nullopt;
       const i64 val = -res / a;
-      if (!has_lo || val > iv.lo) iv.lo = val, has_lo = true;
-      if (!has_hi || val < iv.hi) iv.hi = val, has_hi = true;
+      iv.lo = std::max(iv.lo, val);
+      iv.hi = std::min(iv.hi, val);
     } else if (a > 0) {
       // v >= ceil(-res / a); C++ division truncates toward zero.
       const i64 num = -res;
       i64 q = num / a;
       if (num % a != 0 && num > 0) ++q;
-      if (!has_lo || q > iv.lo) iv.lo = q, has_lo = true;
+      iv.lo = std::max(iv.lo, q);
     } else {
       // v <= floor(res / -a)
       const i64 na = -a;
       i64 q = res / na;
       if (res % na != 0 && res < 0) --q;
-      if (!has_hi || q < iv.hi) iv.hi = q, has_hi = true;
+      iv.hi = std::min(iv.hi, q);
     }
   }
-  if (!has_lo || !has_hi || iv.lo > iv.hi) return std::nullopt;
+  if (iv.lo > iv.hi) return std::nullopt;
   return iv;
 }
+
+bool bounded(const Interval& iv) { return iv.lo != kOpenLo && iv.hi != kOpenHi; }
 
 /// Sort and merge overlapping or adjacent intervals in place.
 void merge_runs(std::vector<Interval>& runs) {
@@ -461,105 +467,208 @@ void merge_runs(std::vector<Interval>& runs) {
   runs.resize(n);
 }
 
-/// The descent behind Set::for_each_run. Level d < nvars-1 sweeps the
-/// values of variable d inside the alive parts' projected ranges in
-/// increasing order and recurses with the parts whose range holds the
-/// value; the last level asks the alive parts for their exact innermost
-/// intervals.
-class RunWalker {
+}  // namespace
+
+/// Per part: level[d] is the part projected onto variables 0..d, for the
+/// outer levels d < nvars-1 (the last level is the part itself, read from
+/// the set), and fold[d] says no constraint below level d ties variable d
+/// to a deeper one, so every value of d in a stretch where the part stays
+/// alive leads to the same subtree.
+struct WalkPlan {
+  struct Part {
+    std::vector<BasicSet> level;
+    std::vector<bool> fold;
+  };
+  std::vector<Part> parts;
+};
+
+void Set::reset_plan(const WalkPlan* p) {
+  const WalkPlan* old = plan_.load(std::memory_order_relaxed);
+  plan_.store(p, std::memory_order_relaxed);
+  delete old;
+}
+
+const WalkPlan& Set::walk_plan() const {
+  if (const WalkPlan* built = plan_.load(std::memory_order_acquire)) return *built;
+  auto plan = std::make_unique<WalkPlan>();
+  for (const BasicSet& part : parts_) {
+    WalkPlan::Part wp;
+    for (std::size_t d = nvars_ > 0 ? nvars_ - 1 : 0; d > 0; --d)
+      wp.level.push_back((wp.level.empty() ? part : wp.level.back()).project_out(d));
+    std::reverse(wp.level.begin(), wp.level.end());
+    // A constraint that reads d and nothing deeper also sits in level d
+    // (projection keeps it), so it holds on the whole stretch; only one
+    // that ties d to a deeper variable breaks the fold.
+    wp.fold.assign(nvars_, true);
+    for (std::size_t l = 1; l < nvars_; ++l)
+      for (const auto& c : (l + 1 == nvars_ ? part : wp.level[l]).constraints()) {
+        std::size_t deepest = l + 1;
+        while (deepest > 0 && c.e.var[deepest - 1] == 0) --deepest;
+        for (std::size_t d = 0; d + 1 < deepest; ++d)
+          if (c.e.var[d] != 0) wp.fold[d] = false;
+      }
+    plan->parts.push_back(std::move(wp));
+  }
+  const WalkPlan* raced = nullptr;  // a concurrent first walk may win
+  if (!plan_.compare_exchange_strong(raced, plan.get(), std::memory_order_acq_rel)) return *raced;
+  return *plan.release();
+}
+
+/// The descent behind walk_boxes. Level d < nvars-1 sweeps the values of
+/// variable d inside the driver's alive ranges in increasing order, cutting
+/// them into stretches at every alive range boundary of any operand, and
+/// recurses once per stretch (once per value where folding is off or an
+/// alive part ties d to a deeper variable). The last level asks the alive
+/// parts for their exact innermost intervals.
+class BoxWalker {
  public:
-  RunWalker(const std::vector<BasicSet>& parts, const std::vector<i64>& params,
-            const Set::RunFn& cb)
-      : parts_(parts), params_(params), cb_(cb), nvars_(parts.front().nvars()),
-        prefix_(nvars_ - 1), alive_(nvars_) {
-    // Projection cascade per part: proj[d] keeps variables 0..d (the last
-    // level reads the part itself).
-    for (const BasicSet& part : parts) {
-      std::vector<BasicSet> proj(nvars_ - 1, BasicSet(0, part.params()));
-      for (std::size_t d = nvars_ - 1; d > 0; --d)
-        proj[d - 1] = (d + 1 == nvars_ ? part : proj[d]).project_out(d);
-      proj_.push_back(std::move(proj));
+  BoxWalker(const std::vector<WalkOperand>& operands, std::size_t fold_from, const BoxFn& cb)
+      : fold_from_(fold_from), cb_(cb), nvars_(operands.front().set->nvars()),
+        levels_(std::max<std::size_t>(nvars_, 1)), at_(levels_ - 1), box_(levels_ - 1),
+        ranges_(levels_), runs_(operands.size()) {
+    for (const WalkOperand& o : operands) {
+      require(o.set->nvars() == nvars_ && o.params->size() == o.set->params().size(), "iset",
+              "box walk: operand space mismatch");
+      Operand op{o.set, &o.set->walk_plan(), o.params,
+                 std::vector<std::vector<std::size_t>>(levels_)};
+      for (std::size_t i = 0; i < op.plan->parts.size(); ++i) op.alive[0].push_back(i);
+      ops_.push_back(std::move(op));
     }
-    for (std::size_t i = 0; i < parts.size(); ++i) alive_[0].push_back(i);
   }
 
-  void run() { descend(0); }
+  /// Walks, and returns the number of boxes visited.
+  std::size_t run() {
+    descend(0);
+    return boxes_;
+  }
 
  private:
+  struct Operand {
+    const Set* set;
+    const WalkPlan* plan;
+    const std::vector<i64>* params;
+    std::vector<std::vector<std::size_t>> alive;  ///< alive parts per level
+  };
+  struct Range {
+    Interval iv;
+    std::size_t op;
+    std::size_t part;
+  };
+
   bool descend(std::size_t d) {
-    if (d + 1 == nvars_) {
-      runs_.clear();
-      for (std::size_t i : alive_[d])
-        if (auto iv = parts_[i].inner_interval(prefix_, params_)) runs_.push_back(*iv);
-      merge_runs(runs_);
-      return runs_.empty() || cb_(prefix_, runs_);
-    }
-    std::vector<std::pair<Interval, std::size_t>> ranges;
+    if (d + 1 == levels_) return leaf();
+    std::vector<Range>& ranges = ranges_[d];
+    ranges.clear();
+    bool any = false;
     i64 v = 0, end = -1;
-    for (std::size_t i : alive_[d]) {
-      const auto iv = var_bounds(proj_[i][d], params_, d, prefix_);
-      if (!iv) continue;
-      require(iv->hi - iv->lo < 100000000, "iset", "run walk: variable range too large");
-      v = ranges.empty() ? iv->lo : std::min(v, iv->lo);
-      end = ranges.empty() ? iv->hi : std::max(end, iv->hi);
-      ranges.emplace_back(*iv, i);
-    }
-    std::vector<std::size_t>& next = alive_[d + 1];
-    while (v <= end) {
-      next.clear();
-      i64 gap_end = end + 1;  // next range start when no range holds v
-      for (const auto& [iv, i] : ranges) {
-        if (iv.lo <= v && v <= iv.hi)
-          next.push_back(i);
-        else if (iv.lo > v)
-          gap_end = std::min(gap_end, iv.lo);
+    for (std::size_t k = 0; k < ops_.size(); ++k)
+      for (std::size_t i : ops_[k].alive[d]) {
+        const WalkPlan::Part& part = ops_[k].plan->parts[i];
+        const auto iv = last_var_range(part.level[d], *ops_[k].params, at_);
+        if (!iv) continue;
+        if (k == 0) {
+          if (!bounded(*iv)) continue;
+          require((d >= fold_from_ && part.fold[d]) || iv->hi - iv->lo < 100000000, "iset",
+                  "box walk: variable range too large");
+          v = any ? std::min(v, iv->lo) : iv->lo;
+          end = any ? std::max(end, iv->hi) : iv->hi;
+          any = true;
+        }
+        ranges.push_back({*iv, k, i});
       }
-      if (next.empty()) {
-        v = gap_end;
+    if (!any) return true;
+    while (v <= end) {
+      for (Operand& op : ops_) op.alive[d + 1].clear();
+      i64 w = end;             // last value of the stretch starting at v
+      i64 next_lo = kOpenHi;   // next driver range start when none holds v
+      bool fold = d >= fold_from_;
+      for (const Range& r : ranges) {
+        if (r.iv.lo > v) {
+          w = std::min(w, r.iv.lo - 1);
+          if (r.op == 0) next_lo = std::min(next_lo, r.iv.lo);
+        } else if (r.iv.hi >= v) {
+          ops_[r.op].alive[d + 1].push_back(r.part);
+          w = std::min(w, r.iv.hi);
+          fold = fold && ops_[r.op].plan->parts[r.part].fold[d];
+        }
+      }
+      if (ops_[0].alive[d + 1].empty()) {
+        if (next_lo == kOpenHi) break;
+        v = next_lo;
         continue;
       }
-      prefix_[d] = v;
+      if (!fold) w = v;
+      box_[d] = {v, w};
+      at_[d] = v;
       if (!descend(d + 1)) return false;
-      ++v;
+      v = w + 1;
     }
     return true;
   }
 
-  const std::vector<BasicSet>& parts_;
-  const std::vector<i64>& params_;
-  const Set::RunFn& cb_;
+  bool leaf() {
+    const std::size_t d = levels_ - 1;
+    i64 lo = 0, hi = -1;  // the driver's hull, which clips the others
+    for (std::size_t k = 0; k < ops_.size(); ++k) {
+      std::vector<Interval>& runs = runs_[k];
+      runs.clear();
+      for (std::size_t i : ops_[k].alive[d]) {
+        const BasicSet& bs = ops_[k].set->parts()[i];
+        std::optional<Interval> iv;
+        if (nvars_ == 0) {
+          if (bs.contains({}, *ops_[k].params)) iv = Interval{0, 0};
+        } else {
+          iv = last_var_range(bs, *ops_[k].params, at_);
+        }
+        if (!iv) continue;
+        if (k == 0) {
+          if (!bounded(*iv)) continue;
+        } else {
+          iv->lo = std::max(iv->lo, lo);
+          iv->hi = std::min(iv->hi, hi);
+          if (iv->lo > iv->hi) continue;
+        }
+        runs.push_back(*iv);
+      }
+      merge_runs(runs);
+      if (k == 0) {
+        if (runs.empty()) return true;
+        lo = runs.front().lo;
+        hi = runs.back().hi;
+      }
+    }
+    ++boxes_;
+    return cb_(box_, runs_);
+  }
+
+  std::size_t fold_from_;
+  const BoxFn& cb_;
   std::size_t nvars_;
-  std::vector<std::vector<BasicSet>> proj_;
-  std::vector<i64> prefix_;
-  std::vector<std::vector<std::size_t>> alive_;  ///< parts alive per level
-  std::vector<Interval> runs_;
+  std::size_t levels_;  ///< max(nvars, 1): a 0-ary walk is one leaf
+  std::vector<Operand> ops_;
+  std::vector<i64> at_;        ///< least corner of the current box
+  std::vector<Interval> box_;
+  std::vector<std::vector<Range>> ranges_;  ///< scratch per level
+  std::vector<std::vector<Interval>> runs_;
+  std::size_t boxes_ = 0;
 };
 
-}  // namespace
-
-std::optional<Interval> BasicSet::inner_interval(const std::vector<i64>& prefix,
-                                                 const std::vector<i64>& params) const {
-  if (nvars_ == 0) return contains({}, params) ? std::optional<Interval>({0, 0}) : std::nullopt;
-  return var_bounds(*this, params, nvars_ - 1, prefix);
-}
-
-std::vector<Interval> Set::inner_intervals(const std::vector<i64>& prefix,
-                                           const std::vector<i64>& params) const {
-  std::vector<Interval> runs;
-  for (const auto& p : parts_)
-    if (auto iv = p.inner_interval(prefix, params)) runs.push_back(*iv);
-  merge_runs(runs);
-  return runs;
+void walk_boxes(const std::vector<WalkOperand>& operands, std::size_t fold_from,
+                const BoxFn& cb) {
+  require(!operands.empty(), "iset", "box walk: no operands");
+  if (operands.front().set->parts().empty()) return;
+  DHPF_COUNTER_ADD("iset.walk_boxes", BoxWalker(operands, fold_from, cb).run());
 }
 
 void Set::for_each_run(const std::vector<i64>& param_values, const RunFn& cb) const {
   require(param_values.size() == params_.size(), "iset", "run walk: wrong param count");
-  if (parts_.empty()) return;
-  if (nvars_ == 0) {
-    if (contains({}, param_values)) cb({}, {Interval{0, 0}});
-    return;
-  }
-  RunWalker(parts_, param_values, cb).run();
+  std::vector<i64> prefix;
+  walk_boxes({{this, &param_values}}, nvars_,
+             [&](const std::vector<Interval>& box, const std::vector<std::vector<Interval>>& runs) {
+               prefix.clear();
+               for (const Interval& iv : box) prefix.push_back(iv.lo);
+               return cb(prefix, runs.front());
+             });
 }
 
 void Set::enumerate(const std::vector<i64>& param_values,
@@ -596,10 +705,15 @@ std::size_t Set::cardinality(const std::vector<i64>& param_values) const {
     if (auto hit = memo::count_lookup(ks, kp)) return *hit;
   }
   std::size_t total = 0;
-  for_each_run(param_values, [&](const std::vector<i64>&, const std::vector<Interval>& runs) {
-    for (const Interval& iv : runs) total += static_cast<std::size_t>(iv.hi - iv.lo + 1);
-    return true;
-  });
+  walk_boxes({{this, &param_values}}, 0,
+             [&](const std::vector<Interval>& box, const std::vector<std::vector<Interval>>& runs) {
+               std::size_t points = 0;
+               for (const Interval& iv : runs.front())
+                 points += static_cast<std::size_t>(iv.hi - iv.lo + 1);
+               for (const Interval& iv : box) points *= static_cast<std::size_t>(iv.hi - iv.lo + 1);
+               total += points;
+               return true;
+             });
   if (cache) memo::count_store(ks, kp, total);
   return total;
 }
@@ -616,12 +730,13 @@ std::optional<std::vector<i64>> Set::sample(const std::vector<i64>& param_values
     }
   }
   std::optional<std::vector<i64>> first;
-  for_each_run(param_values, [&](const std::vector<i64>& prefix,
-                                 const std::vector<Interval>& runs) {
-    first = prefix;
-    if (nvars_ > 0) first->push_back(runs.front().lo);
-    return false;
-  });
+  walk_boxes({{this, &param_values}}, 0,
+             [&](const std::vector<Interval>& box, const std::vector<std::vector<Interval>>& runs) {
+               first.emplace();
+               for (const Interval& iv : box) first->push_back(iv.lo);
+               if (nvars_ > 0) first->push_back(runs.front().front().lo);
+               return false;
+             });
   if (cache) {
     memo::SampleResult r;
     r.has = first.has_value();

@@ -8,7 +8,7 @@
 // which makes is_empty() sound in the direction the compiler relies on:
 // "empty" answers are always true (so eliminating communication based on a
 // subset() result is safe); "non-empty" answers may rarely be conservative
-// (costing at most a redundant message). Point queries (the run walk and
+// (costing at most a redundant message). Point queries (the box walk and
 // everything built on it) solve the innermost variable against the
 // original constraints, so they are always exact.
 #pragma once
@@ -27,6 +27,7 @@ namespace dhpf::iset {
 
 class AffineMap;
 class Set;
+struct WalkPlan;
 
 /// Closed interval [lo, hi] of the innermost tuple variable.
 struct Interval {
@@ -110,12 +111,6 @@ class BasicSet {
   [[nodiscard]] bool contains(const std::vector<i64>& vars,
                               const std::vector<i64>& params) const;
 
-  /// Exact values of the last variable with the others fixed to `prefix`:
-  /// each constraint is then a bound or a divisibility test on it, so no
-  /// projection is needed. A 0-ary set that holds answers [0, 0].
-  [[nodiscard]] std::optional<Interval> inner_interval(const std::vector<i64>& prefix,
-                                                       const std::vector<i64>& params) const;
-
   /// Gcd-normalize, fold constants, drop duplicates and tautologies.
   /// Returns false if a constraint is statically unsatisfiable.
   bool simplify();
@@ -142,14 +137,18 @@ class Set {
   /// Singleton union.
   explicit Set(BasicSet bs);
 
-  // Same rep-id carrying rules as BasicSet (see above).
+  // Same rep-id carrying rules as BasicSet (see above). The walk plan is
+  // moved along but not copied: a copy builds its own on its first walk,
+  // which keeps the many copies the set algebra makes free of it.
   Set(const Set& o)
       : nvars_(o.nvars_), params_(o.params_), parts_(o.parts_),
         rep_(o.rep_.load(std::memory_order_relaxed)) {}
   Set(Set&& o) noexcept
       : nvars_(o.nvars_), params_(std::move(o.params_)), parts_(std::move(o.parts_)),
-        rep_(o.rep_.load(std::memory_order_relaxed)) {
+        rep_(o.rep_.load(std::memory_order_relaxed)),
+        plan_(o.plan_.load(std::memory_order_relaxed)) {
     o.rep_.store(0, std::memory_order_relaxed);
+    o.plan_.store(nullptr, std::memory_order_relaxed);
   }
   Set& operator=(const Set& o) {
     if (this != &o) {
@@ -157,6 +156,7 @@ class Set {
       params_ = o.params_;
       parts_ = o.parts_;
       rep_.store(o.rep_.load(std::memory_order_relaxed), std::memory_order_relaxed);
+      reset_plan();
     }
     return *this;
   }
@@ -167,9 +167,12 @@ class Set {
       parts_ = std::move(o.parts_);
       rep_.store(o.rep_.load(std::memory_order_relaxed), std::memory_order_relaxed);
       o.rep_.store(0, std::memory_order_relaxed);
+      reset_plan(o.plan_.load(std::memory_order_relaxed));
+      o.plan_.store(nullptr, std::memory_order_relaxed);
     }
     return *this;
   }
+  ~Set() { reset_plan(); }
 
   static Set empty(std::size_t nvars, Params params) { return Set(nvars, std::move(params)); }
   static Set universe(std::size_t nvars, Params params) {
@@ -202,20 +205,14 @@ class Set {
   /// Preimage under an affine map (exact substitution).
   [[nodiscard]] Set preimage(const AffineMap& map) const;
 
-  /// Sorted, merged inner_interval()s of all parts at `prefix`.
-  [[nodiscard]] std::vector<Interval> inner_intervals(const std::vector<i64>& prefix,
-                                                      const std::vector<i64>& params) const;
-
   /// Gets one outer prefix (values of vars 0..nvars-2) and its sorted,
   /// disjoint, non-adjacent innermost runs; returns false to stop.
   using RunFn =
       std::function<bool(const std::vector<i64>& prefix, const std::vector<Interval>& runs)>;
 
-  /// The run walk: the points for concrete parameter values as innermost
-  /// runs, prefixes in lexicographic order, in O(prefixes x parts). Outer
-  /// levels descend the parts' projection cascades; the last level is
-  /// exact (inner_interval), merging overlapping parts. A 0-ary set's
-  /// point is the run [0, 0] at the empty prefix. The set must be bounded.
+  /// The run walk: the box walk (walk_boxes) without folding, so every box
+  /// is one prefix, in lexicographic order. A 0-ary set's point is the run
+  /// [0, 0] at the empty prefix. The set must be bounded.
   void for_each_run(const std::vector<i64>& param_values, const RunFn& cb) const;
 
   /// Enumerate all integer points for concrete parameter values, in
@@ -223,12 +220,14 @@ class Set {
   void enumerate(const std::vector<i64>& param_values,
                  const std::function<void(const std::vector<i64>&)>& cb) const;
 
-  /// Exact number of points for concrete parameter values: the run walk's
-  /// run lengths, summed in closed form. Bumps iset.cardinalities.
+  /// Exact number of points for concrete parameter values: the folded box
+  /// walk's run lengths times box volumes, in closed form. Bumps
+  /// iset.cardinalities.
   [[nodiscard]] std::size_t cardinality(const std::vector<i64>& param_values) const;
 
   /// Lexicographically least integer point for concrete parameter values, or
-  /// nullopt when the set is empty there: the first point of the first run.
+  /// nullopt when the set is empty there: the least corner of the first box
+  /// of the folded walk, with its first run's first value.
   [[nodiscard]] std::optional<std::vector<i64>> sample(
       const std::vector<i64>& param_values) const;
 
@@ -240,11 +239,53 @@ class Set {
 
  private:
   friend std::shared_ptr<const Set> intern(const Set& s);
+  friend class BoxWalker;
+  /// The walk's per-representation plan (projection cascades and fold
+  /// flags), built on first use and kept, so walking one set at every
+  /// rank's parameters builds it once.
+  [[nodiscard]] const WalkPlan& walk_plan() const;
+  /// Frees the walk plan and takes `p` (owned) in its place. Like every
+  /// mutation, never concurrent with a walk of the same set.
+  void reset_plan(const WalkPlan* p = nullptr);
+
   std::size_t nvars_;
   Params params_;
   std::vector<BasicSet> parts_;
   mutable std::atomic<std::uint64_t> rep_{0};  // 0 = not yet computed
+  mutable std::atomic<const WalkPlan*> plan_{nullptr};  // owned; null = not yet built
 };
+
+/// One operand of a box walk: a set read at its own parameter values.
+struct WalkOperand {
+  const Set* set;
+  const std::vector<i64>* params;
+};
+
+/// Gets one box: values [lo, hi] of each outer variable (0..nvars-2), and
+/// per operand the sorted, disjoint, non-adjacent innermost runs that every
+/// prefix in the box shares; returns false to stop.
+using BoxFn = std::function<bool(const std::vector<Interval>& box,
+                                 const std::vector<std::vector<Interval>>& runs)>;
+
+/// The box walk, the one walker under every point query. It descends the
+/// outer variables in increasing order through each part's projection
+/// cascade; the last level is exact (each constraint is a bound or a
+/// divisibility test on the innermost variable once the rest is fixed).
+///
+/// Folding: at level d >= fold_from, a stretch of values over which no
+/// operand's set of alive parts changes, and which no alive part's deeper
+/// constraints tie to a deeper variable, is visited once as [lo, hi].
+/// Below fold_from every value is its own box, so fold_from >= nvars-1
+/// gives the lexicographic run walk and fold_from = 0 gives the fewest
+/// boxes. Boxes come in lexicographic order of their least corners.
+///
+/// Co-walk: the first operand drives: only its points are walked, and it
+/// must be bounded (an unbounded part of it walks nothing). The others are
+/// read along it at their own parameter values, their runs clipped to the
+/// driver's; an unbounded side of theirs is open. All operands share one
+/// arity. Bumps iset.walk_boxes by the boxes visited.
+void walk_boxes(const std::vector<WalkOperand>& operands, std::size_t fold_from,
+                const BoxFn& cb);
 
 /// Affine map Z^n_in -> Z^n_out (each output an affine expr of inputs+params).
 class AffineMap {

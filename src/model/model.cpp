@@ -10,7 +10,6 @@
 #include "support/diagnostics.hpp"
 #include "support/json.hpp"
 #include "support/metrics.hpp"
-#include "verify/plan.hpp"
 
 namespace dhpf::model {
 
@@ -107,6 +106,7 @@ Prediction predict(const hpf::Program& prog, const cp::CpResult& cps,
   for (int q = 0; q < n; ++q)
     vals.push_back(prog.grids().empty() ? std::vector<i64>{}
                                         : analysis::param_values_for_rank(prog, q));
+  const analysis::OwnerMap owners(prog);
 
   // ---- compute: exact per-rank instance counts -------------------------
   //
@@ -194,8 +194,9 @@ Prediction predict(const hpf::Program& prog, const cp::CpResult& cps,
   for (const auto& ev_ref : plan.events)
     if (!ev_ref.eliminated) live.push_back(&ev_ref);
 
-  // Event enumeration dominates model time; each event's loads are private,
-  // so the per-event sweep fans out and the slots merge in event order.
+  // Each event's loads are private, so the per-event sweep fans out and the
+  // slots merge in event order. Peer counts come from the event's boxes
+  // (comm::for_each_peer_count), so an event costs O(prefixes x boxes).
   struct EventSlot {
     EventCost ec;
     std::size_t barrier_episodes = 0;
@@ -207,7 +208,6 @@ Prediction predict(const hpf::Program& prog, const cp::CpResult& cps,
   exec::parallel_for(live.size(), [&](std::size_t slot) {
     const auto& ev = *live[slot];
     EventSlot& out = event_slots[slot];
-    const auto depth = static_cast<std::size_t>(ev.placement_depth);
 
     struct RankLoad {
       std::size_t msgs = 0;
@@ -227,13 +227,10 @@ Prediction predict(const hpf::Program& prog, const cp::CpResult& cps,
     for (int q = 0; q < n; ++q) {
       // peer element counts for rank q, keyed by (prefix, peer)
       std::map<std::pair<std::vector<i64>, int>, std::size_t> groups;
-      ev.data.enumerate(vals[static_cast<std::size_t>(q)], [&](const std::vector<i64>& pt) {
-        std::vector<i64> prefix(pt.begin(), pt.begin() + static_cast<std::ptrdiff_t>(depth));
-        const std::vector<i64> elem(pt.begin() + static_cast<std::ptrdiff_t>(depth), pt.end());
-        const int owner = verify::owner_rank(prog, *ev.array, elem);
-        if (owner == q) return;  // already local (block-edge clamping)
-        ++groups[{std::move(prefix), owner}];
-      });
+      comm::for_each_peer_count(owners, ev, q, vals[static_cast<std::size_t>(q)],
+                                [&](const std::vector<i64>& prefix, int peer, std::size_t elems) {
+                                  groups[{prefix, peer}] += elems;
+                                });
       for (const auto& [key, elems] : groups) {
         const auto& [prefix, peer] = key;
         const std::size_t nbytes = elems * sizeof(double);

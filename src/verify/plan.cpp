@@ -50,26 +50,6 @@ int CompiledPlan::nprocs() const {
   return prog->grids().front()->nprocs();
 }
 
-int owner_rank(const hpf::Program& prog, const Array& a, const std::vector<i64>& elem) {
-  if (!a.distributed() || prog.grids().empty()) return 0;
-  const hpf::ProcGrid& grid = *prog.grids().front();
-  const std::vector<int> ext = analysis::template_extents(prog);
-  int rank = 0;
-  for (std::size_t g = 0; g < grid.extents.size(); ++g) {
-    int coord = 0;
-    for (std::size_t d = 0; d < a.dist.dims.size(); ++d) {
-      const auto& dim = a.dist.dims[d];
-      if (dim.kind != hpf::DistKind::Block || dim.proc_dim != static_cast<int>(g)) continue;
-      const int e = ext[g];
-      const int p = grid.extents[g];
-      const int b = (e + p - 1) / p;
-      coord = std::min<int>(p - 1, static_cast<int>((elem[d] + a.dist.offset(d)) / b));
-    }
-    rank = rank * grid.extents[g] + coord;
-  }
-  return rank;
-}
-
 Set extended_owned(const Array& a, const std::vector<int>& widths, const Params& params) {
   if (!a.distributed()) return analysis::index_set(a, params);
   BasicSet bs(a.extents.size(), params);
@@ -146,6 +126,7 @@ Schedule derive_schedule(const hpf::Program& prog, const comm::CommPlan& plan) {
   sched.rank_ops.resize(static_cast<std::size_t>(n));
   if (prog.grids().empty()) return sched;
 
+  const analysis::OwnerMap owners(prog);
   std::vector<std::vector<i64>> vals;
   for (int q = 0; q < n; ++q) vals.push_back(analysis::param_values_for_rank(prog, q));
 
@@ -153,18 +134,14 @@ Schedule derive_schedule(const hpf::Program& prog, const comm::CommPlan& plan) {
     if (ev.eliminated) continue;
     // Aggregate the event's element traffic into (from, to) pair counts.
     std::map<std::pair<int, int>, std::size_t> pairs;
-    const auto depth = static_cast<std::size_t>(ev.placement_depth);
-    for (int q = 0; q < n; ++q) {
-      ev.data.enumerate(vals[static_cast<std::size_t>(q)], [&](const std::vector<i64>& pt) {
-        const std::vector<i64> elem(pt.begin() + static_cast<std::ptrdiff_t>(depth), pt.end());
-        const int owner = owner_rank(prog, *ev.array, elem);
-        if (owner == q) return;  // already local (block-edge clamping)
-        if (ev.kind == comm::EventKind::Fetch)
-          ++pairs[{owner, q}];
-        else
-          ++pairs[{q, owner}];
-      });
-    }
+    for (int q = 0; q < n; ++q)
+      comm::for_each_peer_count(owners, ev, q, vals[static_cast<std::size_t>(q)],
+                                [&](const std::vector<i64>&, int peer, std::size_t elems) {
+                                  if (ev.kind == comm::EventKind::Fetch)
+                                    pairs[{peer, q}] += elems;
+                                  else
+                                    pairs[{q, peer}] += elems;
+                                });
     // Messages in deterministic (from, to) order; ops per event mirror
     // codegen::exec_event — every rank serves its sends, then receives.
     std::vector<int> event_msgs;

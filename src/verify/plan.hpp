@@ -88,11 +88,6 @@ CompiledPlan bind(const hpf::Program& prog, cp::CpResult cps, comm::CommPlan pla
 /// Re-derive only the schedule (after a mutation edited the plan's events).
 Schedule derive_schedule(const hpf::Program& prog, const comm::CommPlan& plan);
 
-/// Concrete owner rank of one element (HPF BLOCK semantics, row-major rank
-/// linearization) — the schedule's and the witnesses' notion of ownership.
-int owner_rank(const hpf::Program& prog, const hpf::Array& a,
-               const std::vector<iset::i64>& elem);
-
 /// The representative processor's owned region of `a` widened by the given
 /// per-dim overlap widths (the slab  lb<g> − w ≤ x + off ≤ ub<g> + w  on
 /// every BLOCK dim, intersected with the array bounds). The halo check

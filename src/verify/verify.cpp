@@ -158,22 +158,26 @@ std::string Report::to_json() const {
 
 Residue residue(const Set& need, const std::vector<i64>& v, const std::vector<Cover>& covers) {
   Residue r;
+  std::vector<iset::WalkOperand> operands{{&need, &v}};
+  operands.insert(operands.end(), covers.begin(), covers.end());
   std::vector<iset::Interval> cov;
-  need.for_each_run(v, [&](const std::vector<i64>& prefix,
-                           const std::vector<iset::Interval>& runs) {
+  iset::walk_boxes(operands, 0, [&](const std::vector<iset::Interval>& box,
+                                    const std::vector<std::vector<iset::Interval>>& runs) {
+    std::size_t prefixes = 1;
+    for (const iset::Interval& iv : box) prefixes *= static_cast<std::size_t>(iv.hi - iv.lo + 1);
     cov.clear();
-    for (const Cover& c : covers)
-      for (const iset::Interval& iv : c.set->inner_intervals(prefix, *c.params))
-        cov.push_back(iv);
+    for (std::size_t k = 1; k < runs.size(); ++k)
+      cov.insert(cov.end(), runs[k].begin(), runs[k].end());
     std::sort(cov.begin(), cov.end(),
               [](const iset::Interval& a, const iset::Interval& b) { return a.lo < b.lo; });
     auto left = [&](i64 lo, i64 hi) {
-      r.count += static_cast<std::size_t>(hi - lo + 1);
+      r.count += static_cast<std::size_t>(hi - lo + 1) * prefixes;
       if (r.least) return;
-      r.least = prefix;
+      r.least.emplace();
+      for (const iset::Interval& iv : box) r.least->push_back(iv.lo);
       if (need.nvars() > 0) r.least->push_back(lo);
     };
-    for (const iset::Interval& run : runs) {
+    for (const iset::Interval& run : runs.front()) {
       i64 x = run.lo;  // first point of the run not yet known to be covered
       for (const iset::Interval& c : cov) {
         if (c.lo > run.hi || x > run.hi) break;
@@ -195,6 +199,7 @@ struct Ctx {
   const VerifyOptions& opt;
   ResidueFn residue;
   Params params;
+  analysis::OwnerMap owners;
   int nprocs = 1;
   std::vector<std::vector<i64>> vals;  ///< per-rank parameter values
   /// Cache of per-(statement, array) non-local read sets, shared between
@@ -363,7 +368,7 @@ void check_replica_consistency(Ctx& ctx) {
       w.array = a.lhs.array;
       w.stmt_id = id;
       w.element = lhs_map.eval(*dropped.least, v0);
-      w.rank = owner_rank(*ctx.plan.prog, *a.lhs.array, w.element);
+      w.rank = ctx.owners.of(*a.lhs.array).rank(w.element);
       ctx.diag(Check::ReplicaConsistency, Severity::Error,
                "CP of S" + std::to_string(id) + " drops " + std::to_string(dropped.count) +
                    " instance(s): no rank executes them, the owner copy goes stale",
@@ -575,7 +580,8 @@ Report check(const CompiledPlan& plan, const VerifyOptions& opt) {
 Report check_with(const CompiledPlan& plan, ResidueFn diff, const VerifyOptions& opt) {
   obs::ScopedTimer timer("verify.check");
   require(plan.prog != nullptr, "verify", "check: plan not bound (null program)");
-  Ctx ctx{plan, opt, diff, analysis::make_params(*plan.prog), plan.nprocs(), {}, {}, {}};
+  Ctx ctx{plan, opt, diff, analysis::make_params(*plan.prog), analysis::OwnerMap(*plan.prog),
+          plan.nprocs(), {}, {}, {}};
   for (int q = 0; q < ctx.nprocs; ++q)
     ctx.vals.push_back(analysis::param_values_for_rank(*plan.prog, q));
 

@@ -27,8 +27,8 @@
 //                          counts (also accumulated into dhpf::obs).
 //
 // Exactness: every difference question ("need minus what covers it") is
-// answered per rank for the configured grid, over the innermost runs of
-// the sets (iset's run walk), so each finding carries the
+// answered per rank for the configured grid, over boxes of one folded
+// co-walk of the sets (iset::walk_boxes), so each finding carries the
 // lexicographically least concrete element left over — there is no
 // symbolic residue to report as a warning.
 #pragma once
@@ -120,10 +120,7 @@ struct VerifyOptions {
 Report check(const CompiledPlan& plan, const VerifyOptions& opt = {});
 
 /// One (set, parameter values) pair that covers points of a difference.
-struct Cover {
-  const iset::Set* set;
-  const std::vector<iset::i64>* params;
-};
+using Cover = iset::WalkOperand;
 
 /// What is left of a difference at one rank.
 struct Residue {
@@ -132,8 +129,10 @@ struct Residue {
 };
 
 /// The difference primitive under every check: the points of `need` at
-/// parameter values `v` that no cover contains, counted over innermost runs
-/// (each cover is asked for its intervals at the run's prefix).
+/// parameter values `v` that no cover contains. One folded co-walk of need
+/// and the covers (iset::walk_boxes) gives, per box, need's runs and the
+/// covers' runs; what the covers leave counts once per prefix in the box,
+/// and the first box with a residue holds the least point at its corner.
 Residue residue(const iset::Set& need, const std::vector<iset::i64>& v,
                 const std::vector<Cover>& covers);
 

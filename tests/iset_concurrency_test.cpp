@@ -116,6 +116,26 @@ TEST(IsetConcurrency, InterningRacesAgreeOnOneNode) {
     EXPECT_EQ(nodes[0].get(), nodes[static_cast<std::size_t>(t)].get());
 }
 
+TEST(IsetConcurrency, FirstWalksOfOneSharedSetRace) {
+  // Every thread's first walk of one shared set builds its walk plan; one
+  // publishes it and the others must use it. The memo is off so no walk is
+  // skipped by a count hit.
+  memo::set_cache_enabled(false);
+  const Set shared = box(0, 9, 0, 9).unite(box(5, 14, 3, 20));
+  const std::size_t ref = Set(shared).cardinality({});
+  constexpr int kThreads = 8;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&] {
+      if (shared.cardinality({}) != ref) failures.fetch_add(1);
+    });
+  for (auto& th : threads) th.join();
+  memo::set_cache_enabled(true);
+  EXPECT_EQ(failures.load(), 0);
+}
+
 TEST(IsetConcurrency, ParallelForCompletesEverySlotInOrder) {
   exec::set_pass_parallelism(true);
   constexpr std::size_t kN = 200;

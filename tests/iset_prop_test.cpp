@@ -17,8 +17,9 @@
 // Plus the canonicalization pins: structurally equal sets built in
 // different constraint/part orders intern() to the same node (pointer
 // equality), and sample() witnesses survive interning; and the point-query
-// pins: enumerate(), the run walk, cardinality() and sample() agree with a
-// brute-force scan of the bounding box.
+// pins: enumerate(), the run walk, the folded box walk, cardinality() and
+// sample() agree with a brute-force scan of the bounding box, and the
+// verifier's co-walk residue agrees with a point-by-point difference.
 //
 // Every case is seeded; a failure reports its seed via SCOPED_TRACE.
 #include <gtest/gtest.h>
@@ -32,6 +33,7 @@
 
 #include "iset/intern.hpp"
 #include "iset/set.hpp"
+#include "verify/verify.hpp"
 
 namespace dhpf::iset {
 namespace {
@@ -336,6 +338,165 @@ TEST(IsetProp, ZeroAryRunWalk) {
   ASSERT_EQ(walked[0].second.size(), 1u);
   EXPECT_EQ(walked[0].second[0].lo, 0);
   EXPECT_EQ(walked[0].second[0].hi, 0);
+}
+
+/// Every point of a folded box walk (fold_from = 0), checking the box
+/// contract on the way: least corners strictly increasing, runs sorted,
+/// disjoint and non-adjacent. Adds the boxes visited to `boxes` and the
+/// closed-form point count (runs times box volume) to `counted`.
+std::vector<std::vector<i64>> box_points(const Set& s, const std::vector<i64>& params,
+                                         std::size_t& boxes, std::size_t& counted) {
+  std::vector<std::vector<i64>> pts;
+  std::optional<std::vector<i64>> last_corner;
+  walk_boxes({{&s, &params}}, 0,
+             [&](const std::vector<Interval>& box, const std::vector<std::vector<Interval>>& runs) {
+               std::vector<i64> corner;
+               std::size_t volume = 1;
+               for (const Interval& iv : box) {
+                 EXPECT_LE(iv.lo, iv.hi);
+                 corner.push_back(iv.lo);
+                 volume *= static_cast<std::size_t>(iv.hi - iv.lo + 1);
+               }
+               EXPECT_TRUE(!last_corner || *last_corner < corner);
+               last_corner = corner;
+               ++boxes;
+               const std::vector<Interval>& rs = runs.front();
+               EXPECT_FALSE(rs.empty());
+               for (std::size_t k = 0; k < rs.size(); ++k) {
+                 if (k > 0) {
+                   EXPECT_GT(rs[k].lo, rs[k - 1].hi + 1);
+                 }
+                 counted += static_cast<std::size_t>(rs[k].hi - rs[k].lo + 1) * volume;
+               }
+               // Expand the box: every prefix in it, each with the same runs.
+               std::vector<i64> prefix = corner;
+               while (true) {
+                 for (const Interval& r : rs)
+                   for (i64 x = r.lo; x <= r.hi; ++x) {
+                     pts.push_back(prefix);
+                     if (s.nvars() > 0) pts.back().push_back(x);
+                   }
+                 std::size_t d = box.size();
+                 while (d > 0 && prefix[d - 1] == box[d - 1].hi) {
+                   prefix[d - 1] = box[d - 1].lo;
+                   --d;
+                 }
+                 if (d == 0) break;
+                 ++prefix[d - 1];
+               }
+               return true;
+             });
+  std::sort(pts.begin(), pts.end());
+  return pts;
+}
+
+TEST(IsetProp, FoldedBoxWalkMatchesRunWalk) {
+  // The folded walk visits each box of invariant prefixes once; expanding
+  // its boxes must give exactly the brute-force points, and the folded
+  // cardinality must equal the expanded run walk's count.
+  const Params params({"n"});
+  std::size_t prefixes = 0, boxes = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+    Gen g(seed * 40503u);
+    const std::size_t r = 1 + seed % 3;
+    const Set a = g.rich_set(r, params);
+    const Set c = g.rich_set(r, params);
+    for (const Set& s : {a, a.unite(c), a.subtract(c)}) {
+      for (i64 n : {-2, 0, 1}) {
+        const std::vector<i64> pv{n};
+        const auto truth = brute_points(s, pv, 8);
+        std::size_t counted = 0;
+        ASSERT_EQ(box_points(s, pv, boxes, counted), truth) << s.to_string() << " n=" << n;
+        const std::size_t run_count = run_points(s, pv).size();
+        ASSERT_EQ(counted, run_count) << s.to_string() << " n=" << n;
+        ASSERT_EQ(s.cardinality(pv), run_count) << s.to_string() << " n=" << n;
+        s.for_each_run(pv, [&](const std::vector<i64>&, const std::vector<Interval>&) {
+          ++prefixes;
+          return true;
+        });
+      }
+    }
+  }
+  EXPECT_LT(boxes * 4, prefixes * 3) << "folding rarely merged prefixes — vacuous test";
+}
+
+/// need minus covers, point by point: the ground truth for verify::residue.
+verify::Residue brute_residue(const Set& need, const std::vector<i64>& v,
+                              const std::vector<verify::Cover>& covers, i64 lim) {
+  verify::Residue r;
+  for (const auto& p : brute_points(need, v, lim)) {
+    if (std::any_of(covers.begin(), covers.end(),
+                    [&](const verify::Cover& c) { return c.set->contains(p, *c.params); }))
+      continue;
+    ++r.count;
+    if (!r.least) r.least = p;
+  }
+  return r;
+}
+
+TEST(IsetProp, CoWalkResidueMatchesPointDifference) {
+  // verify::residue is one folded co-walk of need and covers; each cover is
+  // read at its own parameter values, which differ from the need's here.
+  const Params params({"n"});
+  std::size_t left = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+    Gen g(seed * 2246822519u);
+    const std::size_t r = 1 + seed % 3;
+    const Set need = g.rich_set(r, params);
+    const Set c1 = g.rich_set(r, params);
+    const Set c2 = g.rich_set(r, params).unite(g.rich_set(r, params));
+    const std::vector<i64> vn{g.pick(-2, 1)}, v1{g.pick(-2, 1)}, v2{g.pick(-2, 1)};
+    for (const auto& covers : {std::vector<verify::Cover>{},
+                               std::vector<verify::Cover>{{&c1, &v1}},
+                               std::vector<verify::Cover>{{&c1, &v1}, {&c2, &v2}},
+                               std::vector<verify::Cover>{{&c2, &v2}, {&need, &vn}}}) {
+      const verify::Residue fast = verify::residue(need, vn, covers);
+      const verify::Residue truth = brute_residue(need, vn, covers, 8);
+      ASSERT_EQ(fast.count, truth.count) << need.to_string();
+      ASSERT_EQ(fast.least, truth.least) << need.to_string();
+      left += truth.count;
+    }
+  }
+  EXPECT_GT(left, 1000u) << "covers swallowed everything — vacuous test";
+}
+
+TEST(IsetProp, CoverBoundedOnlyThroughADeeperVariable) {
+  // A cover's outer variable may have no bound of its own: its range comes
+  // from the projection cascade (x0 through x1 here), and a side nothing
+  // bounds is open, never "infeasible".
+  const Params params({"n"});
+  const std::vector<i64> v{0};
+  BasicSet nb(2, params);
+  nb.add_bounds(0, nb.expr_const(0), nb.expr_const(9));
+  nb.add_bounds(1, nb.expr_const(0), nb.expr_const(9));
+  const Set need(nb);
+
+  BasicSet through(2, params);  // x1 - 2 <= x0 <= x1, 0 <= x1 <= n + 5
+  through.add_bounds(1, through.expr_const(0), through.expr_param("n") + through.expr_const(5));
+  through.add_bounds(0, through.expr_var(1) - through.expr_const(2), through.expr_var(1));
+  BasicSet open(2, params);  // x0 >= 3, x1 <= 4: x0 open above, x1 below
+  open.add(Constraint::ge0(open.expr_var(0) - open.expr_const(3)));
+  open.add(Constraint::ge0(open.expr_const(4) - open.expr_var(1)));
+  BasicSet diag(2, params);  // x0 <= x1: x0 open below, x1 open above
+  diag.add(Constraint::ge0(diag.expr_var(1) - diag.expr_var(0)));
+
+  const std::vector<i64> wide{3};
+  for (const Set& cover : {Set(through), Set(open), Set(diag)})
+    for (const std::vector<i64>* cv : {&v, &wide}) {
+      SCOPED_TRACE(cover.to_string());
+      const std::vector<verify::Cover> covers{{&cover, cv}};
+      const verify::Residue fast = verify::residue(need, v, covers);
+      const verify::Residue truth = brute_residue(need, v, covers, 9);
+      EXPECT_EQ(fast.count, truth.count);
+      EXPECT_EQ(fast.least, truth.least);
+    }
+  // The open sides cover: need minus {x0 >= 3, x1 <= 4} keeps x0 < 3 or x1 > 4.
+  const Set open_cover(open);
+  const verify::Residue r = verify::residue(need, v, {{&open_cover, &v}});
+  EXPECT_EQ(r.count, 3u * 10 + 7 * 5);
+  EXPECT_EQ(r.least, (std::vector<i64>{0, 0}));
 }
 
 /// One operation chain's observable results, captured bit-exactly.

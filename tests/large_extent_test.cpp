@@ -1,9 +1,11 @@
 // Large-extent regression: the verifier and the cost model answer their
-// point questions over innermost runs, so their cost follows the set
-// structure, not the point count. The 20000 x 20000 BLOCK x BLOCK Jacobi on
+// point questions over boxes of the folded walk, so their cost follows the
+// set structure, not the point count. The 20000 x 20000 BLOCK x BLOCK Jacobi on
 // P(2,2) (examples/large/jacobi_20000.hpf, 4e8 iteration points) must verify
-// clean and model in bounded memory, and a 700 x 700 instance must get the
-// every-instance-executed check instead of a skip.
+// clean and model in bounded memory, a 700 x 700 instance must get the
+// every-instance-executed check instead of a skip, and verify plus model
+// must visit as many boxes at 20000^2 as at 2000^2 (a deterministic stand-in
+// for a wall-clock bound).
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
@@ -12,7 +14,9 @@
 #include <string>
 
 #include "codegen/driver.hpp"
+#include "iset/intern.hpp"
 #include "model/model.hpp"
+#include "support/metrics.hpp"
 #include "verify/verify.hpp"
 
 namespace dhpf {
@@ -36,7 +40,8 @@ std::string jacobi_at(int n) {
   std::string src = jacobi_source();
   for (const auto& [from, to] : {std::pair<std::string, std::string>{"20000", std::to_string(n)},
                                  {"19998", std::to_string(n - 2)}})
-    for (std::size_t at = src.find(from); at != std::string::npos; at = src.find(from, at))
+    for (std::size_t at = src.find(from); at != std::string::npos;
+         at = src.find(from, at + to.size()))
       src.replace(at, from.size(), to);
   return src;
 }
@@ -80,6 +85,30 @@ TEST(LargeExtent, Jacobi700RunsTheInstanceCheck) {
       EXPECT_EQ(d.witness.element, (std::vector<iset::i64>{1, 1}));
     }
   EXPECT_TRUE(found) << dropped.to_string();
+}
+
+/// Boxes visited by bind, check and predict on the Jacobi at extent n, from
+/// a cold memo (a memo hit would skip a walk).
+std::uint64_t verify_and_model_boxes(int n) {
+  hpf::Program prog;
+  codegen::CompileResult r = codegen::compile_source(jacobi_at(n), &prog);
+  iset::memo::clear_caches();
+  obs::Registry reg;
+  obs::ScopedRegistry scope(reg);
+  const model::Prediction pred = model::predict(prog, r.cps, r.plan);
+  const verify::CompiledPlan plan = verify::bind(prog, std::move(r.cps), std::move(r.plan));
+  EXPECT_TRUE(verify::check(plan).clean());
+  EXPECT_EQ(pred.total_instances, static_cast<std::size_t>(n - 2) * (n - 2));
+  const auto counters = reg.snapshot().counters;
+  const auto it = counters.find("iset.walk_boxes");
+  return it == counters.end() ? 0 : it->second;
+}
+
+TEST(LargeExtent, VerifyAndModelVisitTheSameBoxesAtAnyExtent) {
+  const std::uint64_t small = verify_and_model_boxes(2000);
+  const std::uint64_t large = verify_and_model_boxes(20000);
+  EXPECT_GT(small, 0u);
+  EXPECT_EQ(small, large);
 }
 
 }  // namespace

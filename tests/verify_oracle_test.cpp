@@ -1,5 +1,5 @@
 // Differential oracle for dhpf::verify. check() answers every difference
-// question over innermost runs (verify::residue). The oracle runs the same
+// question over boxes of a folded co-walk (verify::residue). The oracle runs the same
 // checks with the point-by-point primitive instead: enumerate the points of
 // `need` and test each one against every cover with contains(). The two
 // reports must be identical: check, severity, message (with its instance,
