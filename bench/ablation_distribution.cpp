@@ -41,36 +41,36 @@ void app_section(App app, nas::ProblemClass cls) {
   base.verify = false;
 
   row(app_name, "hand-written MPI (multi-part.)",
-      nas::run_variant(Variant::HandMPI, pb, nprocs, sim::Machine::sp2(), base), nprocs);
+      nas::run_variant(Variant::HandMPI, pb, nprocs, exec::Machine::sp2(), base), nprocs);
   row(app_name, "dHPF-style (all optimizations)",
-      nas::run_variant(Variant::DhpfStyle, pb, nprocs, sim::Machine::sp2(), base), nprocs);
+      nas::run_variant(Variant::DhpfStyle, pb, nprocs, exec::Machine::sp2(), base), nprocs);
 
   nas::DriverOptions no_loc = base;
   no_loc.dhpf.localize = false;
   row(app_name, "dHPF-style, no LOCALIZE (sec 4.2)",
-      nas::run_variant(Variant::DhpfStyle, pb, nprocs, sim::Machine::sp2(), no_loc), nprocs);
+      nas::run_variant(Variant::DhpfStyle, pb, nprocs, exec::Machine::sp2(), no_loc), nprocs);
 
   nas::DriverOptions no_avail = base;
   no_avail.dhpf.data_availability = false;
   row(app_name, "dHPF-style, no data avail (sec 7)",
-      nas::run_variant(Variant::DhpfStyle, pb, nprocs, sim::Machine::sp2(), no_avail),
+      nas::run_variant(Variant::DhpfStyle, pb, nprocs, exec::Machine::sp2(), no_avail),
       nprocs);
 
   nas::DriverOptions neither = base;
   neither.dhpf.localize = false;
   neither.dhpf.data_availability = false;
   row(app_name, "dHPF-style, neither",
-      nas::run_variant(Variant::DhpfStyle, pb, nprocs, sim::Machine::sp2(), neither),
+      nas::run_variant(Variant::DhpfStyle, pb, nprocs, exec::Machine::sp2(), neither),
       nprocs);
 
   nas::DriverOptions cubic = base;
   cubic.dhpf.grid3d = true;
   row(app_name, "dHPF-style, 3D BLOCK (BT option)",
-      nas::run_variant(Variant::DhpfStyle, pb, nprocs, sim::Machine::sp2(), cubic),
+      nas::run_variant(Variant::DhpfStyle, pb, nprocs, exec::Machine::sp2(), cubic),
       nprocs);
 
   row(app_name, "PGI-style (1D + transposes)",
-      nas::run_variant(Variant::PgiStyle, pb, nprocs, sim::Machine::sp2(), base), nprocs);
+      nas::run_variant(Variant::PgiStyle, pb, nprocs, exec::Machine::sp2(), base), nprocs);
 }
 
 }  // namespace
@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
     w.member("bench", "ablation: data distribution & dHPF optimizations");
     w.member("nprocs", nprocs);
     w.key("machine");
-    bench::machine_json(w, sim::Machine::sp2());
+    bench::machine_json(w, exec::Machine::sp2());
     w.key("rows");
     w.begin_array();
     for (const auto& s : samples) {

@@ -24,12 +24,12 @@ namespace {
 struct Sample {
   const char* machine = nullptr;
   const char* variant = nullptr;
-  sim::Machine m;
+  exec::Machine m;
   nas::RunResult r;
   double efficiency_vs_hand = 0.0;
 };
 
-std::vector<Sample> machine_section(const char* name, const sim::Machine& m,
+std::vector<Sample> machine_section(const char* name, const exec::Machine& m,
                                     nas::ProblemClass cls) {
   Problem pb = Problem::make(App::SP, cls, 2);
   const int nprocs = 16;
@@ -59,11 +59,11 @@ int main(int argc, char** argv) {
   std::printf("=== Ablation: network sensitivity of the SP comparison (P=16, class A) ===\n");
   const auto cls = args.cls.value_or(nas::ProblemClass::A);
   std::vector<Sample> samples;
-  for (auto& s : machine_section("IBM SP2 (the paper's platform)", sim::Machine::sp2(), cls))
+  for (auto& s : machine_section("IBM SP2 (the paper's platform)", exec::Machine::sp2(), cls))
     samples.push_back(std::move(s));
-  for (auto& s : machine_section("Ethernet cluster", sim::Machine::ethernet_cluster(), cls))
+  for (auto& s : machine_section("Ethernet cluster", exec::Machine::ethernet_cluster(), cls))
     samples.push_back(std::move(s));
-  for (auto& s : machine_section("fast switch", sim::Machine::fast_switch(), cls))
+  for (auto& s : machine_section("fast switch", exec::Machine::fast_switch(), cls))
     samples.push_back(std::move(s));
 
   if (!args.json_path.empty()) {

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
       nas::DriverOptions opt;
       opt.verify = false;
       opt.dhpf.pipeline_tile = tile;
-      auto r = nas::run_variant(Variant::DhpfStyle, pb, nprocs, sim::Machine::sp2(), opt);
+      auto r = nas::run_variant(Variant::DhpfStyle, pb, nprocs, exec::Machine::sp2(), opt);
       if (tile == 0)
         std::printf("  %8s %12.4f %10zu %9.1f%%\n", "auto", r.elapsed, r.stats.messages,
                     100.0 * r.stats.busy_fraction(nprocs));
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
     w.begin_object();
     w.member("bench", "ablation: pipeline granularity (dHPF-style SP)");
     w.key("machine");
-    bench::machine_json(w, sim::Machine::sp2());
+    bench::machine_json(w, exec::Machine::sp2());
     w.member("n", pb.n);
     w.member("niter", pb.niter);
     w.key("rows");

@@ -85,10 +85,10 @@ codegen::SpmdOptions real_backend_options(exec::Backend backend) {
   codegen::SpmdOptions xopt;
   xopt.backend = backend;
   if (backend == exec::Backend::Mp) {
-    xopt.mp.compute_mode = mp::ComputeMode::Sleep;
+    xopt.mp.compute_mode = exec::threaded::ComputeMode::Sleep;
     xopt.mp.time_scale = kTimeScale;
   } else {
-    xopt.shm.compute_mode = shm::ComputeMode::Sleep;
+    xopt.shm.compute_mode = exec::threaded::ComputeMode::Sleep;
     xopt.shm.time_scale = kTimeScale;
   }
   return xopt;
@@ -125,13 +125,13 @@ HeadToHead default_head_to_head(const hpf::Program& prog) {
   cp::CpResult cps = cp::select_cps(prog);
   comm::CommPlan plan = comm::generate_comm(prog, cps);
   HeadToHead h;
-  h.pred = model::predict(prog, cps, plan, sim::Machine::sp2());
+  h.pred = model::predict(prog, cps, plan, exec::Machine::sp2());
   codegen::SpmdOptions mopt = real_backend_options(exec::Backend::Mp);
   mopt.verify = false;
-  h.wall_mp = codegen::run_spmd(prog, cps, plan, sim::Machine::sp2(), mopt).wall_seconds;
+  h.wall_mp = codegen::run_spmd(prog, cps, plan, exec::Machine::sp2(), mopt).wall_seconds;
   codegen::SpmdOptions sopt = real_backend_options(exec::Backend::Shm);
   sopt.verify = false;
-  h.shm_run = codegen::run_spmd(prog, cps, plan, sim::Machine::sp2(), sopt);
+  h.shm_run = codegen::run_spmd(prog, cps, plan, exec::Machine::sp2(), sopt);
   h.wall_shm = h.shm_run.wall_seconds;
   return h;
 }

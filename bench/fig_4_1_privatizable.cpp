@@ -89,7 +89,7 @@ void run_case(const char* label, const char* source, cp::PrivMode mode) {
   cp::CpResult cps = cp::select_cps(prog, sopt);
   comm::CommPlan plan = comm::generate_comm(prog, cps);
   codegen::SpmdResult r =
-      codegen::run_spmd(prog, cps, plan, sim::Machine::sp2());
+      codegen::run_spmd(prog, cps, plan, exec::Machine::sp2());
   std::size_t priv_fetch_msgs = 0;
   for (const auto& ev : plan.events)
     if (!ev.eliminated && (ev.array->name == "cv" || ev.array->name == "rhoq"))

@@ -67,7 +67,7 @@ void run_case(const char* label, bool localize) {
   sopt.localize = localize;
   cp::CpResult cps = cp::select_cps(prog, sopt);
   comm::CommPlan plan = comm::generate_comm(prog, cps);
-  codegen::SpmdResult r = codegen::run_spmd(prog, cps, plan, sim::Machine::sp2());
+  codegen::SpmdResult r = codegen::run_spmd(prog, cps, plan, exec::Machine::sp2());
   std::size_t recip_events = 0, u_events = 0;
   for (const auto& ev : plan.events) {
     if (ev.eliminated) continue;

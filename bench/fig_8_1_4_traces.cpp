@@ -59,7 +59,7 @@ FigureRun show(const char* figure, const char* caption, Variant v, App app) {
   nas::DriverOptions opt;
   opt.record_trace = true;
   opt.verify = false;
-  nas::RunResult r = nas::run_variant(v, pb, kProcs, sim::Machine::sp2(), opt);
+  nas::RunResult r = nas::run_variant(v, pb, kProcs, exec::Machine::sp2(), opt);
 
   std::printf("--- Figure %s: %s ---\n", figure, caption);
   std::printf("  simulated time: %.4f s   messages: %zu   volume: %.2f MB   busy: %.1f%%\n",

@@ -127,7 +127,7 @@ inline bool write_text_file(const std::string& path, const std::string& content)
 // ----------------------------------------------------------- JSON helpers
 
 /// Emit the machine cost-model constants as a JSON object value.
-inline void machine_json(json::Writer& w, const sim::Machine& m) {
+inline void machine_json(json::Writer& w, const exec::Machine& m) {
   w.begin_object();
   w.member("flop_time", m.flop_time);
   w.member("latency", m.latency);
@@ -194,14 +194,14 @@ inline std::optional<RunResult> run_cell(Variant v, const Problem& pb, int nproc
   if (backend == exec::Backend::Mp) {
     // Realize modelled compute as real sleeps so rank overlap (and thus
     // measured wall-clock speedup) is observable even on one host core.
-    opt.mp.compute_mode = mp::ComputeMode::Sleep;
+    opt.mp.compute_mode = exec::threaded::ComputeMode::Sleep;
     opt.mp.time_scale = kMpTimeScale;
   } else if (backend == exec::Backend::Shm) {
-    opt.shm.compute_mode = shm::ComputeMode::Sleep;
+    opt.shm.compute_mode = exec::threaded::ComputeMode::Sleep;
     opt.shm.time_scale = kMpTimeScale;
   }
   obs::ScopedTimer timer("bench.run_variant");
-  auto r = nas::run_variant(v, pb, nprocs, sim::Machine::sp2(), opt);
+  auto r = nas::run_variant(v, pb, nprocs, exec::Machine::sp2(), opt);
   DHPF_COUNTER("bench.cells_run");
   DHPF_COUNTER_ADD("bench.sim_messages", r.stats.messages);
   DHPF_COUNTER_ADD("bench.sim_bytes", r.stats.bytes);
@@ -233,7 +233,7 @@ inline void print_table(const char* title, const Problem& pa, const Problem& pb_
   std::printf("%s\n", title);
   if (args.backend == exec::Backend::Sim)
     std::printf("problem sizes: class %s n=%d, class %s n=%d, %d timestep(s); machine: simulated "
-                "IBM SP2 (see sim/machine.hpp)\n",
+                "IBM SP2 (see exec/machine.hpp)\n",
                 label_a, pa.n, label_b, pb_cls.n, pa.niter);
   else
     std::printf("problem sizes: class %s n=%d, class %s n=%d, %d timestep(s); backend: %s (real "
@@ -333,7 +333,7 @@ inline void print_table(const char* title, const Problem& pa, const Problem& pb_
   if (args.backend == exec::Backend::Mp) w.member("mp_time_scale", kMpTimeScale);
   if (args.backend == exec::Backend::Shm) w.member("shm_time_scale", kMpTimeScale);
   w.key("machine");
-  machine_json(w, sim::Machine::sp2());
+  machine_json(w, exec::Machine::sp2());
   w.key("classes");
   w.begin_array();
   for (const auto* p : {&pa, &pb_cls}) {

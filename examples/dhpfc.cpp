@@ -342,13 +342,13 @@ int main(int argc, char** argv) {
     }
 
     // Model parameters: machine defaults unless a calibration file is given.
-    model::ModelParams mparams = model::ModelParams::from_machine(sim::Machine::sp2());
+    model::ModelParams mparams = model::ModelParams::from_machine(exec::Machine::sp2());
     if (!o.calibration_in.empty()) mparams = model::load_params(o.calibration_in);
 
     std::string model_json;
     if (o.model_report || !o.report_json.empty()) {
       const model::Prediction pred = model::predict(prog, compiled.cps, compiled.plan,
-                                                    sim::Machine::sp2(),
+                                                    exec::Machine::sp2(),
                                                     o.xopt.flops_per_instance);
       model_json = pred.to_json(mparams);
       if (o.model_report)
@@ -382,7 +382,7 @@ int main(int argc, char** argv) {
 
     if (o.run) {
       auto r =
-          codegen::run_spmd(prog, compiled.cps, compiled.plan, sim::Machine::sp2(), o.xopt);
+          codegen::run_spmd(prog, compiled.cps, compiled.plan, exec::Machine::sp2(), o.xopt);
       if (r.backend == exec::Backend::Sim) {
         std::printf("\n---- execution (simulated SP2) ----\n");
         std::printf("  time %.6f s, %zu messages, %zu bytes\n", r.elapsed, r.stats.messages,

@@ -38,7 +38,7 @@ int main() {
     codegen::SpmdOptions ropt;
     ropt.record_trace = true;
     ropt.flops_per_instance = 3000.0;  // make compute visible next to latency
-    auto r = codegen::run_spmd(prog, compiled.cps, compiled.plan, sim::Machine::sp2(), ropt);
+    auto r = codegen::run_spmd(prog, compiled.cps, compiled.plan, exec::Machine::sp2(), ropt);
 
     std::printf("--- data availability %s ---\n", avail ? "ON (sec 7)" : "OFF");
     std::printf("  fetch events: %zu active, %zu eliminated\n",

@@ -48,7 +48,7 @@ int main() {
 
   std::printf("---- execution on the simulated SP2 (4 processors) ----\n");
   codegen::SpmdResult r =
-      codegen::run_spmd(prog, compiled.cps, compiled.plan, sim::Machine::sp2());
+      codegen::run_spmd(prog, compiled.cps, compiled.plan, exec::Machine::sp2());
   std::printf("  simulated time: %.6f s\n", r.elapsed);
   std::printf("  messages: %zu, volume: %zu bytes\n", r.stats.messages, r.stats.bytes);
   std::printf("  statement instances per rank:");

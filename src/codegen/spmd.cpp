@@ -1,7 +1,6 @@
 #include "codegen/spmd.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -461,7 +460,7 @@ std::size_t SpmdResult::total_instances() const {
 }
 
 SpmdResult run_spmd(const hpf::Program& prog, const cp::CpResult& cps,
-                    const comm::CommPlan& plan, const sim::Machine& machine,
+                    const comm::CommPlan& plan, const exec::Machine& machine,
                     const SpmdOptions& opt) {
   const hpf::Procedure* main_proc = prog.find_procedure("main");
   require(main_proc != nullptr, "codegen", "program must define procedure main");
@@ -559,38 +558,12 @@ SpmdResult run_spmd(const hpf::Program& prog, const cp::CpResult& cps,
     }(p, ctx, main_proc);
   };
 
+  // Real threads are safe here because every rank touches only its own
+  // slot of ctx.stores / ctx.instances, the event caches are read-only, and
+  // the cross-rank store reads of exec_event's shm path are bracketed by
+  // barriers and disjoint by ownership.
   SpmdResult result;
-  result.backend = opt.backend;
-  if (opt.backend == exec::Backend::Sim) {
-    DHPF_TRACE_SPAN("exec.sim", trace::Kind::Phase);
-    const auto t0 = std::chrono::steady_clock::now();
-    sim::Engine engine(nprocs, machine, opt.record_trace);
-    engine.run(body);
-    result.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    result.elapsed = engine.elapsed();
-    result.stats = engine.stats();
-    if (opt.record_trace) result.trace = engine.trace();
-  } else if (opt.backend == exec::Backend::Mp) {
-    // Real threads: safe because every rank touches only its own slot of
-    // ctx.stores / ctx.instances and the event caches are read-only here.
-    DHPF_TRACE_SPAN("exec.mp", trace::Kind::Phase);
-    mp::Options mpopt = opt.mp;
-    mpopt.machine = machine;
-    result.wall_seconds = mp::run(nprocs, mpopt, body, &result.mp_stats);
-    result.stats.messages = result.mp_stats.messages;
-    result.stats.bytes = result.mp_stats.bytes;
-  } else {
-    // Shared memory: same real-thread safety argument as mp for compute,
-    // and the cross-rank store accesses in exec_event's shm path are
-    // bracketed by barriers and disjoint by ownership.
-    DHPF_TRACE_SPAN("exec.shm", trace::Kind::Phase);
-    shm::Options shopt = opt.shm;
-    shopt.machine = machine;
-    result.wall_seconds = shm::run(nprocs, shopt, body, &result.shm_stats);
-    result.stats.messages = result.shm_stats.messages;
-    result.stats.bytes = result.shm_stats.bytes;
-  }
+  sim::run_backend(opt, nprocs, machine, body, result);
   result.instances_per_rank = ctx.instances;
 
   if (opt.collect_result) {

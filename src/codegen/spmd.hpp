@@ -20,11 +20,9 @@
 
 #include "comm/comm.hpp"
 #include "cp/select.hpp"
+#include "exec/machine.hpp"
 #include "hpf/ir.hpp"
-#include "mp/runtime.hpp"
-#include "shm/runtime.hpp"
-#include "sim/engine.hpp"
-#include "sim/machine.hpp"
+#include "sim/backend.hpp"
 
 namespace dhpf::codegen {
 
@@ -37,11 +35,7 @@ using Store = std::map<const hpf::Array*, std::vector<double>>;
 /// Reference semantics: interpret the program serially.
 Store interpret_serial(const hpf::Program& prog);
 
-struct SpmdOptions {
-  exec::Backend backend = exec::Backend::Sim;
-  mp::Options mp;                    ///< mp backend tuning (compute, timeouts)
-  shm::Options shm;                  ///< shm backend tuning (compute, timeouts)
-  bool record_trace = false;         ///< sim backend only
+struct SpmdOptions : sim::BackendOptions {
   double flops_per_instance = 10.0;  ///< cost model per statement instance
   bool verify = true;                ///< compare against interpret_serial
   /// Assemble each distributed array's owner copies into SpmdResult::gathered
@@ -51,14 +45,7 @@ struct SpmdOptions {
   bool collect_result = false;
 };
 
-struct SpmdResult {
-  exec::Backend backend = exec::Backend::Sim;
-  double elapsed = 0.0;       ///< simulated seconds (sim backend; 0 on mp/shm)
-  double wall_seconds = 0.0;  ///< real (monotonic-clock) seconds of the run
-  sim::Stats stats;           ///< messages/bytes filled on every backend
-  sim::TraceLog trace;
-  mp::Stats mp_stats;     ///< populated on the mp backend
-  shm::Stats shm_stats;   ///< populated on the shm backend
+struct SpmdResult : sim::BackendRun {
   double max_err = -1.0;  ///< -1 when not verified
   /// Owner copies of the distributed arrays (with collect_result).
   Store gathered;
@@ -70,7 +57,7 @@ struct SpmdResult {
 /// Execute the SPMD program implied by (cps, plan) on `nprocs` = the
 /// program's processor-grid size. Throws dhpf::Error if verification fails.
 SpmdResult run_spmd(const hpf::Program& prog, const cp::CpResult& cps,
-                    const comm::CommPlan& plan, const sim::Machine& machine,
+                    const comm::CommPlan& plan, const exec::Machine& machine,
                     const SpmdOptions& opt = {});
 
 /// Emit a human-readable pseudo-Fortran listing of the SPMD node program

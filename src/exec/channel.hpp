@@ -3,23 +3,21 @@
 // Node programs (the interpreted SPMD programs of codegen::run_spmd, the
 // mini-NAS variants in src/nas, the halo/transpose primitives in src/rt and
 // the collectives in exec/collectives.hpp) are coroutines written against
-// this interface only, so the same program text executes on either backend:
+// this interface only, so the same program text executes on any backend:
 //
 //   * src/sim — the deterministic virtual-time simulator. One OS thread;
 //     a blocking receive suspends the rank's coroutine and the engine
 //     resumes it when the matching message exists. compute() advances the
 //     rank's virtual clock by the Machine cost model.
-//   * src/mp — the real multi-threaded message-passing runtime. One OS
-//     thread per rank; a blocking receive parks the thread on the rank's
-//     mailbox condition variable *inside the awaiter* (await_ready blocks
-//     and then reports ready), so the coroutine never suspends. compute()
-//     is a no-op by default (timings come from a monotonic clock), or an
-//     optional spin/sleep emulation of the cost model.
-//   * src/shm — the shared-memory threaded runtime. Same real-thread
-//     execution model as mp (mailboxes included, so collectives and
-//     message-passing node programs run unchanged), plus phase barriers
-//     and direct shared reads for codegen's barrier-synchronized data
-//     movement (no message copies).
+//   * exec/threaded.hpp — the real multi-threaded runtime behind both mp
+//     and shm. One OS thread per rank; a blocking receive parks the thread
+//     on the rank's mailbox condition variable *inside the awaiter*
+//     (await_ready blocks and then reports ready), so the coroutine never
+//     suspends. compute() is a no-op by default (timings come from a
+//     monotonic clock), or an optional spin/sleep emulation of the cost
+//     model. On shm the same runtime also serves phase barriers and direct
+//     shared reads for codegen's barrier-synchronized data movement (no
+//     message copies).
 //
 // The receive protocol is therefore expressed as three virtuals behind a
 // single awaiter type: recv_ready / recv_suspend / recv_complete. Backends
@@ -37,11 +35,13 @@
 
 namespace dhpf::exec {
 
-/// Which runtime executes the node programs (see the module comment).
+/// Which runtime executes the node programs (see the module comment). Mp
+/// and Shm are the one threaded runtime (exec/threaded.hpp); the backend
+/// only names its counters and spans and, on Shm, admits shm::barrier.
 enum class Backend {
   Sim,  ///< deterministic virtual-time simulator (src/sim)
-  Mp,   ///< real multi-threaded message-passing runtime (src/mp)
-  Shm,  ///< real threads over one shared address space (src/shm)
+  Mp,   ///< real threads exchanging messages only
+  Shm,  ///< real threads that also share storage under phase barriers
 };
 
 /// Switch-based so a newly added backend without a name is a compile error

@@ -15,7 +15,7 @@
 //
 // The model drives the virtual clock of the deterministic simulator
 // (src/sim) and, optionally, the spin/sleep compute emulation of the real
-// multi-threaded runtime (src/mp).
+// multi-threaded runtime (exec/threaded.hpp).
 #pragma once
 
 namespace dhpf::exec {

@@ -5,11 +5,12 @@
 // transfer, so deep call chains do not grow the machine stack), and
 // propagate exceptions to the awaiter / the backend.
 //
-// The same coroutine runs on both backends: on the deterministic simulator
+// The same coroutine runs on every backend: on the deterministic simulator
 // (src/sim) a blocking receive suspends the coroutine until the engine
 // schedules the matching message; on the real multi-threaded runtime
-// (src/mp) the receive blocks the rank's OS thread inside the awaiter and
-// the coroutine never actually suspends mid-receive.
+// (exec/threaded.hpp, the mp and shm backends) the receive blocks the
+// rank's OS thread inside the awaiter and the coroutine never actually
+// suspends mid-receive.
 #pragma once
 
 #include <coroutine>

@@ -11,10 +11,10 @@
 #include "codegen/spmd.hpp"
 #include "comm/comm.hpp"
 #include "cp/select.hpp"
+#include "exec/machine.hpp"
 #include "fuzz/rng.hpp"
 #include "hpf/parser.hpp"
 #include "model/model.hpp"
-#include "sim/machine.hpp"
 #include "support/diagnostics.hpp"
 #include "tune/tune.hpp"
 #include "verify/plan.hpp"
@@ -143,7 +143,7 @@ DiffResult run_differential(const std::string& source, std::uint64_t seed,
   }
 
   const std::vector<tune::VariantSpec> variants = tune::enumerate_variants();
-  const sim::Machine machine = sim::Machine::sp2();
+  const exec::Machine machine = exec::Machine::sp2();
 
   for (std::size_t si = 0; si < shapes.size(); ++si) {
     // Fresh parse per shape: result stores are keyed by Array*, so the

@@ -9,12 +9,10 @@
 #include <optional>
 #include <string>
 
-#include "mp/runtime.hpp"
-#include "shm/runtime.hpp"
+#include "exec/machine.hpp"
 #include "nas/dhpf_style.hpp"
 #include "nas/problem.hpp"
-#include "sim/engine.hpp"
-#include "sim/machine.hpp"
+#include "sim/backend.hpp"
 
 namespace dhpf::nas {
 
@@ -22,25 +20,14 @@ enum class Variant { HandMPI, DhpfStyle, PgiStyle };
 
 const char* to_string(Variant v);
 
-struct RunResult {
-  exec::Backend backend = exec::Backend::Sim;
-  double elapsed = 0.0;       ///< simulated seconds (sim backend; 0 on mp/shm)
-  double wall_seconds = 0.0;  ///< real (monotonic-clock) seconds of the run
-  sim::Stats stats;           ///< messages/bytes filled on every backend
-  sim::TraceLog trace;        ///< populated when record_trace was requested
-  mp::Stats mp_stats;         ///< populated on the mp backend
-  shm::Stats shm_stats;       ///< populated on the shm backend
+struct RunResult : sim::BackendRun {
   double max_err = -1.0;      ///< vs serial reference; -1 when not verified
   double norm = 0.0;          ///< allreduced interior RMS of u (collective)
   bool verified = false;
 };
 
-struct DriverOptions {
-  exec::Backend backend = exec::Backend::Sim;
-  mp::Options mp;            ///< mp backend tuning (compute mode, timeouts)
-  shm::Options shm;          ///< shm backend tuning (compute mode, timeouts)
+struct DriverOptions : sim::BackendOptions {
   DhpfOptions dhpf;          ///< options for the dHPF-style variant
-  bool record_trace = false; ///< sim backend only
   bool verify = true;        ///< run the serial reference and compare fields
 };
 
@@ -48,7 +35,7 @@ struct DriverOptions {
 bool variant_supports(Variant v, int nprocs);
 
 /// Run one variant at `nprocs` on `machine`. Throws dhpf::Error on failure.
-RunResult run_variant(Variant v, const Problem& pb, int nprocs, const sim::Machine& machine,
+RunResult run_variant(Variant v, const Problem& pb, int nprocs, const exec::Machine& machine,
                       const DriverOptions& opt = {});
 
 }  // namespace dhpf::nas

@@ -18,7 +18,7 @@ bool matches(const Message& m, int src, int tag) {
 // ---------------------------------------------------------------- Process
 
 int Process::nprocs() const { return engine_->nprocs(); }
-const Machine& Process::machine() const { return engine_->machine_; }
+const exec::Machine& Process::machine() const { return engine_->machine_; }
 
 void Process::record(double start, double end, IntervalKind kind, int peer) {
   if (end <= start) return;
@@ -43,7 +43,7 @@ void Process::elapse(double seconds) {
 
 void Process::send(int dst, int tag, std::vector<double> data) {
   require(dst >= 0 && dst < nprocs(), "sim", "send: destination rank out of range");
-  const Machine& m = engine_->machine_;
+  const exec::Machine& m = engine_->machine_;
   const std::size_t bytes = data.size() * sizeof(double);
   const double busy = m.send_overhead + static_cast<double>(bytes) * m.byte_time;
   const double arrival = clock_ + m.send_overhead + m.latency +
@@ -85,7 +85,7 @@ std::vector<double> Process::recv_complete(int src, int tag) {
   Message msg = std::move(mailbox_[static_cast<std::size_t>(idx)]);
   mailbox_.erase(mailbox_.begin() + static_cast<std::ptrdiff_t>(idx));
 
-  const Machine& m = engine_->machine_;
+  const exec::Machine& m = engine_->machine_;
   const double ready = std::max(clock_, msg.arrival);
   record(clock_, ready, IntervalKind::Idle, msg.src);
   record(ready, ready + m.recv_overhead, IntervalKind::Recv, msg.src);
@@ -95,7 +95,7 @@ std::vector<double> Process::recv_complete(int src, int tag) {
 
 // ----------------------------------------------------------------- Engine
 
-Engine::Engine(int nprocs, Machine machine, bool record_trace)
+Engine::Engine(int nprocs, exec::Machine machine, bool record_trace)
     : machine_(machine), record_trace_(record_trace) {
   require(nprocs > 0, "sim", "need at least one process");
   procs_.resize(static_cast<std::size_t>(nprocs));
@@ -117,9 +117,9 @@ void Engine::deliver(int dst, Message msg) {
   if (p.blocked_ && p.find_match(p.want_src_, p.want_tag_) != kNpos) p.blocked_ = false;
 }
 
-void Engine::run(const std::function<Task(Process&)>& body) {
+void Engine::run(const std::function<exec::Task(Process&)>& body) {
   const int n = nprocs();
-  std::vector<Task> roots;
+  std::vector<exec::Task> roots;
   roots.reserve(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) {
     Process& p = procs_[static_cast<std::size_t>(r)];
@@ -149,7 +149,7 @@ void Engine::run(const std::function<Task(Process&)>& body) {
     handle.resume();
     // Control returns when the rank blocked again or its root completed.
     if (!p.blocked_) {
-      const Task& root = roots[static_cast<std::size_t>(pick)];
+      const exec::Task& root = roots[static_cast<std::size_t>(pick)];
       require(root.done(), "sim", "rank returned control while neither blocked nor done");
       p.done_ = true;
       try {
@@ -181,8 +181,8 @@ void Engine::run(const std::function<Task(Process&)>& body) {
   }
 }
 
-double run_spmd(int nprocs, const Machine& machine,
-                const std::function<Task(Process&)>& body, Stats* stats_out,
+double run_spmd(int nprocs, const exec::Machine& machine,
+                const std::function<exec::Task(Process&)>& body, Stats* stats_out,
                 TraceLog* trace_out) {
   Engine engine(nprocs, machine, trace_out != nullptr);
   engine.run(body);

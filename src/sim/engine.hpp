@@ -13,8 +13,9 @@
 // Deadlock (all unfinished ranks blocked) raises dhpf::Error with a
 // description of every blocked rank.
 //
-// The real-hardware counterpart of this backend is mp::Runtime (src/mp);
-// node programs written against exec::Channel run unmodified on either.
+// The real-hardware counterpart of this backend is the threaded runtime
+// (exec/threaded.hpp); node programs written against exec::Channel run
+// unmodified on either.
 #pragma once
 
 #include <coroutine>
@@ -26,8 +27,8 @@
 #include <vector>
 
 #include "exec/channel.hpp"
-#include "sim/machine.hpp"
-#include "sim/task.hpp"
+#include "exec/machine.hpp"
+#include "exec/task.hpp"
 #include "sim/trace.hpp"
 
 namespace dhpf::sim {
@@ -53,7 +54,7 @@ class Process final : public exec::Channel {
   [[nodiscard]] int rank() const override { return rank_; }
   [[nodiscard]] int nprocs() const override;
   [[nodiscard]] double now() const override { return clock_; }
-  [[nodiscard]] const Machine& machine() const override;
+  [[nodiscard]] const exec::Machine& machine() const override;
 
   /// Advance the local clock by `flops` floating-point operations.
   void compute(double flops) override;
@@ -107,18 +108,18 @@ class Process final : public exec::Channel {
 class Engine {
  public:
   /// `record_trace` enables full interval/message logs (space-time diagrams).
-  Engine(int nprocs, Machine machine, bool record_trace = false);
+  Engine(int nprocs, exec::Machine machine, bool record_trace = false);
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
   [[nodiscard]] int nprocs() const { return static_cast<int>(procs_.size()); }
   [[nodiscard]] Process& proc(int rank);
-  [[nodiscard]] const Machine& machine() const { return machine_; }
+  [[nodiscard]] const exec::Machine& machine() const { return machine_; }
 
   /// Run `body(proc)` on every rank to completion. Throws dhpf::Error on
   /// deadlock or if any rank's coroutine throws.
-  void run(const std::function<Task(Process&)>& body);
+  void run(const std::function<exec::Task(Process&)>& body);
 
   /// Simulated wall time of the last run (max final clock over ranks).
   [[nodiscard]] double elapsed() const { return stats_.elapsed; }
@@ -131,7 +132,7 @@ class Engine {
 
   void deliver(int dst, Message msg);
 
-  Machine machine_;
+  exec::Machine machine_;
   bool record_trace_;
   std::deque<Process> procs_;  // deque: stable addresses
   TraceLog trace_;
@@ -139,8 +140,8 @@ class Engine {
 };
 
 /// Convenience one-shot runner. Returns simulated elapsed seconds.
-double run_spmd(int nprocs, const Machine& machine,
-                const std::function<Task(Process&)>& body, Stats* stats_out = nullptr,
+double run_spmd(int nprocs, const exec::Machine& machine,
+                const std::function<exec::Task(Process&)>& body, Stats* stats_out = nullptr,
                 TraceLog* trace_out = nullptr);
 
 }  // namespace dhpf::sim

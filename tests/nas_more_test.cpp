@@ -15,7 +15,7 @@
 namespace dhpf::nas {
 namespace {
 
-using sim::Machine;
+using exec::Machine;
 
 // ---- awkward sizes -------------------------------------------------------
 

@@ -9,7 +9,7 @@
 namespace dhpf::nas {
 namespace {
 
-using sim::Machine;
+using exec::Machine;
 
 Problem tiny(App app) { return Problem{app, 12, 2, 0.0}; }
 

@@ -19,7 +19,7 @@
 
 #include "codegen/driver.hpp"
 #include "codegen/spmd.hpp"
-#include "sim/machine.hpp"
+#include "exec/machine.hpp"
 #include "sim/trace.hpp"
 #include "support/json.hpp"
 #include "support/metrics.hpp"
@@ -610,7 +610,7 @@ TEST(Trace, EndToEndChromeExportFromRealRun) {
   codegen::SpmdOptions opt;
   opt.record_trace = true;
   codegen::SpmdResult r =
-      codegen::run_spmd(prog, c.cps, c.plan, sim::Machine::sp2(), opt);
+      codegen::run_spmd(prog, c.cps, c.plan, exec::Machine::sp2(), opt);
   ASSERT_EQ(r.trace.ranks.size(), 4u);
   EXPECT_GT(r.stats.messages, 0u);
 

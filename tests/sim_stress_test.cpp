@@ -9,7 +9,7 @@
 #include <set>
 #include <vector>
 
-#include "sim/collectives.hpp"
+#include "exec/collectives.hpp"
 #include "sim/engine.hpp"
 #include "support/diagnostics.hpp"
 
@@ -31,8 +31,8 @@ TEST(SimStress, RandomRoutingDeliversEveryPayloadIntact) {
         if (d != s) sends[s].push_back(d);
       }
     int checked = 0;
-    Engine e(n, Machine::sp2());
-    e.run([&](Process& p) -> Task {
+    Engine e(n, exec::Machine::sp2());
+    e.run([&](Process& p) -> exec::Task {
       for (std::size_t k = 0; k < sends[p.rank()].size(); ++k) {
         const int dst = sends[p.rank()][k];
         p.send(dst, /*tag=*/p.rank(), {static_cast<double>(p.rank() * 1000 + k)});
@@ -57,8 +57,8 @@ TEST(SimStress, RandomRoutingDeliversEveryPayloadIntact) {
 }
 
 TEST(SimStress, ThousandsOfMessagesStayOrdered) {
-  Engine e(2, Machine::free_network());
-  e.run([&](Process& p) -> Task {
+  Engine e(2, exec::Machine::free_network());
+  e.run([&](Process& p) -> exec::Task {
     const int kCount = 3000;
     if (p.rank() == 0) {
       for (int i = 0; i < kCount; ++i) p.send(1, 7, {static_cast<double>(i)});
@@ -74,8 +74,8 @@ TEST(SimStress, ThousandsOfMessagesStayOrdered) {
 }
 
 TEST(SimStress, InterleavedTagsAcrossManyRounds) {
-  Engine e(3, Machine::sp2());
-  e.run([&](Process& p) -> Task {
+  Engine e(3, exec::Machine::sp2());
+  e.run([&](Process& p) -> exec::Task {
     for (int round = 0; round < 50; ++round) {
       const int right = (p.rank() + 1) % 3, left = (p.rank() + 2) % 3;
       p.send(right, 100 + round % 3, {static_cast<double>(round)});
@@ -87,9 +87,9 @@ TEST(SimStress, InterleavedTagsAcrossManyRounds) {
 }
 
 TEST(SimStress, DeadlockMessageNamesBlockedRanks) {
-  Engine e(3, Machine::sp2());
+  Engine e(3, exec::Machine::sp2());
   try {
-    e.run([](Process& p) -> Task {
+    e.run([](Process& p) -> exec::Task {
       if (p.rank() == 2) co_return;       // rank 2 exits
       (void)co_await p.recv(2, 99);       // ranks 0, 1 wait forever
     });
@@ -104,8 +104,8 @@ TEST(SimStress, DeadlockMessageNamesBlockedRanks) {
 }
 
 TEST(SimStress, SelfSendIsDeliverable) {
-  Engine e(1, Machine::sp2());
-  e.run([](Process& p) -> Task {
+  Engine e(1, exec::Machine::sp2());
+  e.run([](Process& p) -> exec::Task {
     p.send(0, 5, {42.0});
     auto v = co_await p.recv(0, 5);
     EXPECT_DOUBLE_EQ(v[0], 42.0);
@@ -113,8 +113,8 @@ TEST(SimStress, SelfSendIsDeliverable) {
 }
 
 TEST(SimStress, SendToInvalidRankThrows) {
-  Engine e(2, Machine::sp2());
-  EXPECT_THROW(e.run([](Process& p) -> Task {
+  Engine e(2, exec::Machine::sp2());
+  EXPECT_THROW(e.run([](Process& p) -> exec::Task {
                  p.send(5, 0, {1.0});
                  co_return;
                }),
@@ -122,10 +122,10 @@ TEST(SimStress, SendToInvalidRankThrows) {
 }
 
 TEST(SimStress, EmptyPayloadCostsOnlyOverheadAndLatency) {
-  Machine m = Machine::sp2();
+  exec::Machine m = exec::Machine::sp2();
   Engine e(2, m);
   double done = 0;
-  e.run([&](Process& p) -> Task {
+  e.run([&](Process& p) -> exec::Task {
     if (p.rank() == 0) {
       p.send(1, 0, {});
     } else {
@@ -138,9 +138,9 @@ TEST(SimStress, EmptyPayloadCostsOnlyOverheadAndLatency) {
 }
 
 TEST(SimStress, MachinePresetsAreOrdered) {
-  const Machine sp2 = Machine::sp2();
-  const Machine eth = Machine::ethernet_cluster();
-  const Machine fast = Machine::fast_switch();
+  const exec::Machine sp2 = exec::Machine::sp2();
+  const exec::Machine eth = exec::Machine::ethernet_cluster();
+  const exec::Machine fast = exec::Machine::fast_switch();
   EXPECT_GT(eth.latency, sp2.latency);
   EXPECT_GT(eth.byte_time, sp2.byte_time);
   EXPECT_LT(fast.latency, sp2.latency);
@@ -148,8 +148,8 @@ TEST(SimStress, MachinePresetsAreOrdered) {
 }
 
 TEST(SimStress, TraceCsvExportsAreParsable) {
-  Engine e(2, Machine::sp2(), true);
-  e.run([](Process& p) -> Task {
+  Engine e(2, exec::Machine::sp2(), true);
+  e.run([](Process& p) -> exec::Task {
     p.set_phase("work");
     p.compute(1000.0);
     if (p.rank() == 0)
@@ -167,8 +167,8 @@ TEST(SimStress, TraceCsvExportsAreParsable) {
 }
 
 TEST(SimStress, StatsBusyFractionBounded) {
-  Engine e(4, Machine::sp2());
-  e.run([](Process& p) -> Task {
+  Engine e(4, exec::Machine::sp2());
+  e.run([](Process& p) -> exec::Task {
     p.compute(1e5);
     if (p.rank() == 0)
       for (int r = 1; r < p.nprocs(); ++r) p.send(r, 0, {0.0});
@@ -187,11 +187,11 @@ class CollectiveRootsP : public ::testing::TestWithParam<std::pair<int, int>> {}
 
 TEST_P(CollectiveRootsP, ReduceToArbitraryRoot) {
   auto [n, root] = GetParam();
-  Engine e(n, Machine::free_network());
+  Engine e(n, exec::Machine::free_network());
   double at_root = -1;
-  e.run([&](Process& p) -> Task {
+  e.run([&](Process& p) -> exec::Task {
     std::vector<double> v{static_cast<double>(p.rank() + 1)};
-    co_await reduce(p, v, ReduceOp::Sum, root);
+    co_await exec::reduce(p, v, exec::ReduceOp::Sum, root);
     if (p.rank() == root) at_root = v[0];
   });
   EXPECT_DOUBLE_EQ(at_root, n * (n + 1) / 2.0);
@@ -199,12 +199,12 @@ TEST_P(CollectiveRootsP, ReduceToArbitraryRoot) {
 
 TEST_P(CollectiveRootsP, BroadcastFromArbitraryRoot) {
   auto [n, root] = GetParam();
-  Engine e(n, Machine::free_network());
+  Engine e(n, exec::Machine::free_network());
   int good = 0;
-  e.run([&](Process& p) -> Task {
+  e.run([&](Process& p) -> exec::Task {
     std::vector<double> v;
     if (p.rank() == root) v = {7.5};
-    co_await broadcast(p, v, root);
+    co_await exec::broadcast(p, v, root);
     if (v.size() == 1 && v[0] == 7.5) ++good;
     co_return;
   });
@@ -217,12 +217,12 @@ INSTANTIATE_TEST_SUITE_P(RootsAndSizes, CollectiveRootsP,
                                            std::pair{13, 11}));
 
 TEST(SimStress, ConsecutiveCollectivesDoNotCrossTalk) {
-  Engine e(6, Machine::free_network());
+  Engine e(6, exec::Machine::free_network());
   int checked = 0;
-  e.run([&](Process& p) -> Task {
+  e.run([&](Process& p) -> exec::Task {
     for (int round = 0; round < 10; ++round) {
       std::vector<double> v{static_cast<double>(round)};
-      co_await allreduce(p, v, ReduceOp::Max);
+      co_await exec::allreduce(p, v, exec::ReduceOp::Max);
       EXPECT_DOUBLE_EQ(v[0], static_cast<double>(round));
       ++checked;
     }
@@ -233,12 +233,12 @@ TEST(SimStress, ConsecutiveCollectivesDoNotCrossTalk) {
 
 TEST(SimStress, AllreduceLongVector) {
   const int n = 5;
-  Engine e(n, Machine::sp2());
+  Engine e(n, exec::Machine::sp2());
   std::vector<double> result;
-  e.run([&](Process& p) -> Task {
+  e.run([&](Process& p) -> exec::Task {
     std::vector<double> v(1000);
     for (std::size_t i = 0; i < v.size(); ++i) v[i] = p.rank() + static_cast<double>(i);
-    co_await allreduce(p, v, ReduceOp::Sum);
+    co_await exec::allreduce(p, v, exec::ReduceOp::Sum);
     if (p.rank() == 0) result = v;
   });
   ASSERT_EQ(result.size(), 1000u);
@@ -249,12 +249,12 @@ TEST(SimStress, AllreduceLongVector) {
 
 TEST(SimStress, BarrierManyRounds) {
   const int n = 9;
-  Engine e(n, Machine::sp2());
+  Engine e(n, exec::Machine::sp2());
   std::vector<int> order;
-  e.run([&](Process& p) -> Task {
+  e.run([&](Process& p) -> exec::Task {
     for (int round = 0; round < 5; ++round) {
       p.compute(1000.0 * ((p.rank() + round) % n));
-      co_await barrier(p);
+      co_await exec::barrier(p);
     }
     order.push_back(p.rank());
     co_return;

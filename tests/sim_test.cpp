@@ -4,18 +4,18 @@
 #include <numeric>
 #include <vector>
 
-#include "sim/collectives.hpp"
+#include "exec/collectives.hpp"
 #include "sim/engine.hpp"
 #include "support/diagnostics.hpp"
 
 namespace dhpf::sim {
 namespace {
 
-Machine fast() { return Machine::free_network(); }
+exec::Machine fast() { return exec::Machine::free_network(); }
 
 TEST(Sim, SingleRankComputeAdvancesClock) {
-  Engine e(1, Machine::sp2());
-  e.run([](Process& p) -> Task {
+  Engine e(1, exec::Machine::sp2());
+  e.run([](Process& p) -> exec::Task {
     p.compute(65.0e6);  // exactly one second at the sp2 rate
     co_return;
   });
@@ -26,7 +26,7 @@ TEST(Sim, SingleRankComputeAdvancesClock) {
 TEST(Sim, PingPongTransfersData) {
   std::vector<double> got;
   Engine e(2, fast());
-  e.run([&](Process& p) -> Task {
+  e.run([&](Process& p) -> exec::Task {
     if (p.rank() == 0) {
       p.send(1, 7, {1.0, 2.0, 3.0});
     } else {
@@ -39,11 +39,11 @@ TEST(Sim, PingPongTransfersData) {
 }
 
 TEST(Sim, MessageTimingMatchesModel) {
-  Machine m = Machine::sp2();
+  exec::Machine m = exec::Machine::sp2();
   Engine e(2, m);
   double recv_done = 0.0;
   const std::size_t n = 1000;
-  e.run([&](Process& p) -> Task {
+  e.run([&](Process& p) -> exec::Task {
     if (p.rank() == 0) {
       p.send(1, 0, std::vector<double>(n, 1.0));
     } else {
@@ -59,10 +59,10 @@ TEST(Sim, MessageTimingMatchesModel) {
 
 TEST(Sim, RecvBeforeSendBlocksThenCompletes) {
   // Rank 1 receives before rank 0 computes+sends; rank 1 must idle-wait.
-  Machine m = Machine::sp2();
+  exec::Machine m = exec::Machine::sp2();
   Engine e(2, m);
   double r1_done = 0;
-  e.run([&](Process& p) -> Task {
+  e.run([&](Process& p) -> exec::Task {
     if (p.rank() == 0) {
       p.compute(65.0e6);  // 1 second of work before sending
       p.send(1, 0, {42.0});
@@ -80,7 +80,7 @@ TEST(Sim, RecvBeforeSendBlocksThenCompletes) {
 TEST(Sim, FifoOrderPerChannel) {
   Engine e(2, fast());
   std::vector<double> order;
-  e.run([&](Process& p) -> Task {
+  e.run([&](Process& p) -> exec::Task {
     if (p.rank() == 0) {
       p.send(1, 5, {1.0});
       p.send(1, 5, {2.0});
@@ -101,7 +101,7 @@ TEST(Sim, FifoOrderPerChannel) {
 
 TEST(Sim, TagsAreMatchedIndependently) {
   Engine e(2, fast());
-  e.run([&](Process& p) -> Task {
+  e.run([&](Process& p) -> exec::Task {
     if (p.rank() == 0) {
       p.send(1, 1, {1.0});
       p.send(1, 2, {2.0});
@@ -118,7 +118,7 @@ TEST(Sim, TagsAreMatchedIndependently) {
 TEST(Sim, AnySourceReceivesFromEither) {
   Engine e(3, fast());
   int total = 0;
-  e.run([&](Process& p) -> Task {
+  e.run([&](Process& p) -> exec::Task {
     if (p.rank() != 0) {
       p.send(0, 9, {static_cast<double>(p.rank())});
     } else {
@@ -134,7 +134,7 @@ TEST(Sim, AnySourceReceivesFromEither) {
 
 TEST(Sim, DeadlockDetected) {
   Engine e(2, fast());
-  EXPECT_THROW(e.run([](Process& p) -> Task {
+  EXPECT_THROW(e.run([](Process& p) -> exec::Task {
                  (void)co_await p.recv((p.rank() + 1) % 2, 0);  // both wait
                }),
                dhpf::Error);
@@ -143,7 +143,7 @@ TEST(Sim, DeadlockDetected) {
 TEST(Sim, RankExceptionPropagates) {
   Engine e(2, fast());
   try {
-    e.run([](Process& p) -> Task {
+    e.run([](Process& p) -> exec::Task {
       if (p.rank() == 1) dhpf::fail("test", "rank body error");
       co_return;
     });
@@ -156,7 +156,7 @@ TEST(Sim, RankExceptionPropagates) {
 TEST(Sim, NestedTaskCallsWork) {
   // Sub-coroutines that themselves communicate must compose.
   struct Helper {
-    static Task relay(Process& p, int from, int to, int tag) {
+    static exec::Task relay(Process& p, int from, int to, int tag) {
       auto v = co_await p.recv(from, tag);
       v[0] += 1.0;
       p.send(to, tag, v);
@@ -164,7 +164,7 @@ TEST(Sim, NestedTaskCallsWork) {
   };
   Engine e(3, fast());
   double result = 0;
-  e.run([&](Process& p) -> Task {
+  e.run([&](Process& p) -> exec::Task {
     if (p.rank() == 0) {
       p.send(1, 3, {10.0});
       auto v = co_await p.recv(2, 3);
@@ -181,7 +181,7 @@ TEST(Sim, NestedTaskCallsWork) {
 
 TEST(Sim, IrecvWaitEquivalentToRecv) {
   Engine e(2, fast());
-  e.run([&](Process& p) -> Task {
+  e.run([&](Process& p) -> exec::Task {
     if (p.rank() == 0) {
       p.isend(1, 4, {5.0});
     } else {
@@ -195,8 +195,8 @@ TEST(Sim, IrecvWaitEquivalentToRecv) {
 }
 
 TEST(Sim, ClockIsMonotonicPerRank) {
-  Engine e(4, Machine::sp2(), /*record_trace=*/true);
-  e.run([&](Process& p) -> Task {
+  Engine e(4, exec::Machine::sp2(), /*record_trace=*/true);
+  e.run([&](Process& p) -> exec::Task {
     for (int round = 0; round < 3; ++round) {
       p.compute(1000.0 * (p.rank() + 1));
       p.send((p.rank() + 1) % p.nprocs(), 0, {1.0});
@@ -216,8 +216,8 @@ TEST(Sim, ClockIsMonotonicPerRank) {
 
 TEST(Sim, DeterministicAcrossRuns) {
   auto run_once = [](unsigned salt) {
-    Engine e(5, Machine::sp2());
-    e.run([&](Process& p) -> Task {
+    Engine e(5, exec::Machine::sp2());
+    e.run([&](Process& p) -> exec::Task {
       // Irregular communication pattern; result must not depend on internal
       // scheduling order.
       (void)salt;
@@ -243,7 +243,7 @@ TEST(Sim, DeterministicAcrossRuns) {
 
 TEST(Sim, StatsCountMessagesAndBytes) {
   Engine e(2, fast());
-  e.run([&](Process& p) -> Task {
+  e.run([&](Process& p) -> exec::Task {
     if (p.rank() == 0) {
       p.send(1, 0, std::vector<double>(10, 0.0));
       p.send(1, 1, std::vector<double>(6, 0.0));
@@ -258,8 +258,8 @@ TEST(Sim, StatsCountMessagesAndBytes) {
 }
 
 TEST(Sim, TraceRecordsPhases) {
-  Engine e(1, Machine::sp2(), true);
-  e.run([](Process& p) -> Task {
+  Engine e(1, exec::Machine::sp2(), true);
+  e.run([](Process& p) -> exec::Task {
     p.set_phase("alpha");
     p.compute(100.0);
     p.set_phase("beta");
@@ -275,8 +275,8 @@ TEST(Sim, TraceRecordsPhases) {
 }
 
 TEST(Sim, AsciiSpaceTimeRendersRows) {
-  Engine e(3, Machine::sp2(), true);
-  e.run([](Process& p) -> Task {
+  Engine e(3, exec::Machine::sp2(), true);
+  e.run([](Process& p) -> exec::Task {
     p.compute(1.0e5);
     if (p.rank() > 0) (void)co_await p.recv(p.rank() - 1, 0);
     if (p.rank() + 1 < p.nprocs()) p.send(p.rank() + 1, 0, {0.0});
@@ -294,13 +294,13 @@ class CollectiveP : public ::testing::TestWithParam<int> {};
 
 TEST_P(CollectiveP, BarrierHoldsEveryoneBack) {
   const int n = GetParam();
-  Engine e(n, Machine::sp2());
+  Engine e(n, exec::Machine::sp2());
   std::vector<double> exit_time(n, 0.0);
   std::vector<double> enter_time(n, 0.0);
-  e.run([&](Process& p) -> Task {
+  e.run([&](Process& p) -> exec::Task {
     p.compute(1.0e4 * (p.rank() + 1));  // staggered arrivals
     enter_time[p.rank()] = p.now();
-    co_await barrier(p);
+    co_await exec::barrier(p);
     exit_time[p.rank()] = p.now();
   });
   const double latest_entry = *std::max_element(enter_time.begin(), enter_time.end());
@@ -311,9 +311,9 @@ TEST_P(CollectiveP, AllreduceSumMatchesSerial) {
   const int n = GetParam();
   Engine e(n, fast());
   std::vector<std::vector<double>> results(n);
-  e.run([&](Process& p) -> Task {
+  e.run([&](Process& p) -> exec::Task {
     std::vector<double> v{static_cast<double>(p.rank()), 1.0};
-    co_await allreduce(p, v, ReduceOp::Sum);
+    co_await exec::allreduce(p, v, exec::ReduceOp::Sum);
     results[p.rank()] = v;
   });
   const double expected0 = n * (n - 1) / 2.0;
@@ -328,9 +328,9 @@ TEST_P(CollectiveP, AllreduceMax) {
   const int n = GetParam();
   Engine e(n, fast());
   std::vector<double> results(n);
-  e.run([&](Process& p) -> Task {
+  e.run([&](Process& p) -> exec::Task {
     std::vector<double> v{std::sin(static_cast<double>(p.rank()))};
-    co_await allreduce(p, v, ReduceOp::Max);
+    co_await exec::allreduce(p, v, exec::ReduceOp::Max);
     results[p.rank()] = v[0];
   });
   double expected = -1e30;
@@ -343,10 +343,10 @@ TEST_P(CollectiveP, BroadcastFromNonzeroRoot) {
   const int root = (n > 2) ? 2 : 0;
   Engine e(n, fast());
   std::vector<std::vector<double>> results(n);
-  e.run([&](Process& p) -> Task {
+  e.run([&](Process& p) -> exec::Task {
     std::vector<double> v;
     if (p.rank() == root) v = {3.14, 2.71};
-    co_await broadcast(p, v, root);
+    co_await exec::broadcast(p, v, root);
     results[p.rank()] = v;
   });
   for (int r = 0; r < n; ++r) {

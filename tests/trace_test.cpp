@@ -19,7 +19,7 @@
 #include "codegen/spmd.hpp"
 #include "exec/channel.hpp"
 #include "exec/task.hpp"
-#include "mp/runtime.hpp"
+#include "exec/threaded.hpp"
 #include "trace/export.hpp"
 #include "trace/trace.hpp"
 
@@ -365,7 +365,7 @@ TEST_F(TraceTest, OneTraceHoldsCompileAndPerRankRuntimeSpans) {
   codegen::SpmdOptions xopt;
   xopt.backend = exec::Backend::Mp;
   const codegen::SpmdResult r =
-      codegen::run_spmd(prog, compiled.cps, compiled.plan, sim::Machine::sp2(), xopt);
+      codegen::run_spmd(prog, compiled.cps, compiled.plan, exec::Machine::sp2(), xopt);
   EXPECT_LE(r.max_err, 1e-9);
 
   const trace::TraceDump dump = rec.drain();
@@ -391,12 +391,12 @@ TEST_F(TraceTest, OneTraceHoldsCompileAndPerRankRuntimeSpans) {
 }
 
 TEST_F(TraceTest, WatchdogDumpsEveryRanksFlightRecorderOnDeadlock) {
-  mp::Options opt;
+  exec::threaded::Options opt;
   opt.recv_timeout_s = 0.0;  // only the watchdog may intervene
   opt.watchdog_period_s = 0.02;
   ::testing::internal::CaptureStderr();
   try {
-    mp::run(2, opt, [&](Channel& p) -> Task {
+    exec::threaded::run(exec::Backend::Mp, 2, opt, [&](Channel& p) -> Task {
       // Both ranks wait for a message nobody sends.
       co_await p.recv(1 - p.rank(), 99);
       co_return;
@@ -419,15 +419,15 @@ TEST_F(TraceTest, WatchdogDumpsEveryRanksFlightRecorderOnDeadlock) {
 
 TEST_F(TraceTest, WatchdogDumpStaysSilentWhenTracingIsOff) {
   trace::Recorder::global().set_enabled(false);
-  mp::Options opt;
+  exec::threaded::Options opt;
   opt.recv_timeout_s = 0.0;
   opt.watchdog_period_s = 0.02;
   ::testing::internal::CaptureStderr();
-  EXPECT_THROW(mp::run(2, opt,
-                       [&](Channel& p) -> Task {
-                         co_await p.recv(1 - p.rank(), 99);
-                         co_return;
-                       }),
+  EXPECT_THROW(exec::threaded::run(exec::Backend::Mp, 2, opt,
+                                   [&](Channel& p) -> Task {
+                                     co_await p.recv(1 - p.rank(), 99);
+                                     co_return;
+                                   }),
                Error);
   const std::string err = ::testing::internal::GetCapturedStderr();
   EXPECT_EQ(err.find("trace flight recorder"), std::string::npos) << err;
