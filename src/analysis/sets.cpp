@@ -121,30 +121,31 @@ int ArrayOwner::rank(const std::vector<i64>& elem) const {
   return static_cast<int>(r);
 }
 
-void ArrayOwner::for_each_block(const std::vector<iset::Interval>& box,
-                                const std::function<void(int rank, std::size_t elems)>& cb) const {
+void ArrayOwner::for_each_block(const std::vector<iset::Interval>& box, const BlockFn& cb) const {
   std::size_t flat = 1;  // volume of the dims that do not pick the owner
   for (std::size_t d = 0; d < box.size(); ++d)
     if (std::none_of(dims_.begin(), dims_.end(), [&](const Dim& g) { return g.dim == d; }))
       flat *= static_cast<std::size_t>(box[d].hi - box[d].lo + 1);
-  split(0, box, 0, flat, cb);
+  std::vector<iset::Interval> piece = box;
+  split(0, piece, 0, flat, cb);
 }
 
-void ArrayOwner::split(std::size_t k, const std::vector<iset::Interval>& box, i64 rank,
-                       std::size_t elems,
-                       const std::function<void(int rank, std::size_t elems)>& cb) const {
+void ArrayOwner::split(std::size_t k, std::vector<iset::Interval>& piece, i64 rank,
+                       std::size_t elems, const BlockFn& cb) const {
   if (k == dims_.size()) {
-    cb(static_cast<int>(rank), elems);
+    cb(static_cast<int>(rank), elems, piece);
     return;
   }
   const Dim& g = dims_[k];
-  const iset::Interval& iv = box[g.dim];
+  const iset::Interval iv = piece[g.dim];
   for (i64 x = iv.lo; x <= iv.hi;) {
     const i64 y = std::min(iv.hi, block_end(g, x));
-    split(k + 1, box, rank + coord(g, x) * g.stride, elems * static_cast<std::size_t>(y - x + 1),
+    piece[g.dim] = {x, y};
+    split(k + 1, piece, rank + coord(g, x) * g.stride, elems * static_cast<std::size_t>(y - x + 1),
           cb);
     x = y + 1;
   }
+  piece[g.dim] = iv;
 }
 
 OwnerMap::OwnerMap(const hpf::Program& prog) {

@@ -42,9 +42,10 @@ class ArrayOwner {
   [[nodiscard]] int rank(const std::vector<iset::i64>& elem) const;
 
   /// Splits a box of elements (one [lo, hi] per array dim) at block
-  /// boundaries and gives each piece's owner rank and element count.
-  void for_each_block(const std::vector<iset::Interval>& box,
-                      const std::function<void(int rank, std::size_t elems)>& cb) const;
+  /// boundaries and gives each piece's owner rank, element count and box.
+  using BlockFn =
+      std::function<void(int rank, std::size_t elems, const std::vector<iset::Interval>& piece)>;
+  void for_each_block(const std::vector<iset::Interval>& box, const BlockFn& cb) const;
 
  private:
   struct Dim {
@@ -57,9 +58,9 @@ class ArrayOwner {
   [[nodiscard]] static iset::i64 coord(const Dim& g, iset::i64 x);
   /// Last index y >= x of g's array dim with coord(y) == coord(x).
   [[nodiscard]] static iset::i64 block_end(const Dim& g, iset::i64 x);
-  /// for_each_block over dims_[k..], the pieces so far at `rank`/`elems`.
-  void split(std::size_t k, const std::vector<iset::Interval>& box, iset::i64 rank,
-             std::size_t elems, const std::function<void(int rank, std::size_t elems)>& cb) const;
+  /// for_each_block over dims_[k..], the piece so far at `rank`/`elems`/`piece`.
+  void split(std::size_t k, std::vector<iset::Interval>& piece, iset::i64 rank, std::size_t elems,
+             const BlockFn& cb) const;
 
   std::vector<Dim> dims_;  ///< one per grid dim an array dim is BLOCK onto
 };

@@ -40,8 +40,6 @@ auto timed_pass(const CompileContext& ctx, CompileReport& report, const std::str
   return result;
 }
 
-int stmt_id_of(const hpf::Stmt& s) { return s.is_assign() ? s.assign().id : s.call().id; }
-
 void summarize_procedures(const hpf::Program& prog, const cp::CpResult& cps,
                           const comm::CommPlan& plan, CompileReport& report) {
   std::map<int, std::size_t> events_by_stmt;  // stmt id -> active events
@@ -58,7 +56,7 @@ void summarize_procedures(const hpf::Program& prog, const cp::CpResult& cps,
     hpf::walk(p->body, [&](hpf::Stmt& s, const std::vector<const hpf::Loop*>&) {
       if (s.is_loop()) return;
       ++ps.statements;
-      const int id = stmt_id_of(s);
+      const int id = s.id();
       if (cps.stmts.count(id) && cps.cp_of(id).is_replicated()) ++ps.replicated_cps;
       auto it = events_by_stmt.find(id);
       if (it != events_by_stmt.end()) ps.comm_events += it->second;

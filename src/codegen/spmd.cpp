@@ -93,18 +93,11 @@ struct SerialInterp {
     }
   }
 
-  double read(const Ref& r, const Env& env, const Frame& frame) {
+  double& at(const Ref& r, const Env& env, const Frame& frame) {
     const Array* a = r.array;
     std::vector<long> idx = eval_subs(r.subs, env);
     resolve(frame, a, idx);
     return store[a][flat_index(*a, idx)];
-  }
-
-  void write(const Ref& r, const Env& env, const Frame& frame, double v) {
-    const Array* a = r.array;
-    std::vector<long> idx = eval_subs(r.subs, env);
-    resolve(frame, a, idx);
-    store[a][flat_index(*a, idx)] = v;
   }
 
   void exec_body(const std::vector<hpf::StmtPtr>& body, Env& env, const Frame& frame) {
@@ -112,8 +105,8 @@ struct SerialInterp {
       if (sp->is_assign()) {
         const Assign& a = sp->assign();
         double v = a.cst;
-        for (const auto& r : a.rhs) v += read(r, env, frame);
-        write(a.lhs, env, frame, v);
+        for (const auto& r : a.rhs) v += at(r, env, frame);
+        at(a.lhs, env, frame) = v;
       } else if (sp->is_loop()) {
         const Loop& l = sp->loop();
         const long lo = l.lo.eval(env), hi = l.hi.eval(env);
@@ -157,30 +150,93 @@ Store interpret_serial(const hpf::Program& prog) {
 
 namespace {
 
-/// An anchored communication event plus its precomputed per-rank element
-/// groups: for rank q and outer-iteration prefix, the elements q must
-/// receive (fetch) / send back (write-back), grouped by peer rank.
-struct AnchoredEvent {
-  const CommEvent* ev = nullptr;
-  const Stmt* anchor = nullptr;
-  std::vector<std::string> outer_vars;
-  // cache[rank][prefix] -> peer -> ordered element list
-  using ElemList = std::vector<std::vector<i64>>;
-  using PeerMap = std::map<int, ElemList>;
-  std::vector<std::map<std::vector<i64>, PeerMap>> cache;
+/// Calls fn(flat) for every element of `box` (one [lo, hi] per dim of `a`
+/// from `d` on), in row-major order.
+template <class Fn>
+void for_each_flat(const Array& a, const std::vector<iset::Interval>& box, Fn&& fn,
+                   std::size_t d = 0, std::size_t row = 0) {
+  if (box[d].lo < 0 || box[d].hi >= a.extents[d]) fail("codegen", "box out of bounds for " + a.name);
+  for (i64 x = box[d].lo; x <= box[d].hi; ++x) {
+    const std::size_t f = row * static_cast<std::size_t>(a.extents[d]) + static_cast<std::size_t>(x);
+    if (d + 1 == box.size())
+      fn(f);
+    else
+      for_each_flat(a, box, fn, d + 1, f);
+  }
+}
+
+/// Calls fn(owner, flat) for every element of the distributed array `a`,
+/// one owner block at a time.
+template <class Fn>
+void for_each_owned(const Array& a, const analysis::ArrayOwner& owner, Fn&& fn) {
+  std::vector<iset::Interval> box;
+  for (int e : a.extents) box.push_back({0, e - 1});
+  owner.for_each_block(box, [&](int rank, std::size_t, const std::vector<iset::Interval>& piece) {
+    for_each_flat(a, piece, [&](std::size_t f) { fn(rank, f); });
+  });
+}
+
+/// Where the plan's events run in main: each live fetch before, and each
+/// live write-back after, its anchor, the ancestor of its statement at
+/// placement_depth (the statement itself when that is deeper). Events of
+/// callee statements are not placed: callee-side communication is out of
+/// scope (see the module comment).
+struct Placement {
+  std::map<const Stmt*, std::vector<const CommEvent*>> before, after;
+  std::vector<const CommEvent*> eliminated;  ///< by §7, on statements of main
 };
+
+Placement place_events(const hpf::Procedure& main_proc, const comm::CommPlan& plan) {
+  std::map<int, std::vector<const Stmt*>> chains;  // statement id -> ancestors in main
+  std::vector<const Stmt*> stack;
+  const std::function<void(const std::vector<hpf::StmtPtr>&)> rec =
+      [&](const std::vector<hpf::StmtPtr>& body) {
+        for (const auto& sp : body) {
+          stack.push_back(sp.get());
+          if (sp->is_loop())
+            rec(sp->loop().body);
+          else
+            chains[sp->id()] = stack;
+          stack.pop_back();
+        }
+      };
+  rec(main_proc.body);
+  Placement out;
+  for (const auto& ev : plan.events) {
+    const auto it = chains.find(ev.stmt_id);
+    if (it == chains.end()) continue;
+    const auto depth = static_cast<std::size_t>(ev.placement_depth);
+    require(depth <= it->second.size(), "codegen", "placement depth beyond nest");
+    const Stmt* anchor = it->second[std::min(depth, it->second.size() - 1)];
+    if (ev.eliminated)
+      out.eliminated.push_back(&ev);
+    else
+      (ev.kind == EventKind::Fetch ? out.before : out.after)[anchor].push_back(&ev);
+  }
+  return out;
+}
+
+/// One event's traffic at one outer-iteration prefix, the same for both
+/// directions: (from, to) -> flat offsets of the event's array that `from`
+/// sends `to` (on shm: that `to` reads from `from`'s store). Fetch: owner to
+/// the rank that needs the elements; write-back: producer to owner.
+using Transfers = std::map<std::pair<int, int>, std::vector<std::size_t>>;
+
+/// A placed event's transfers per outer-iteration prefix. The table is
+/// read-only once built and the same for every rank.
+using EventTable = std::map<std::vector<i64>, Transfers>;
 
 struct SpmdContext {
   const hpf::Program* prog = nullptr;
   const cp::CpResult* cps = nullptr;
   std::vector<std::vector<i64>> rank_params;
-  std::vector<AnchoredEvent> events;
-  std::map<const Stmt*, std::vector<const AnchoredEvent*>> fetch_before;
-  std::map<const Stmt*, std::vector<const AnchoredEvent*>> wb_after;
+  Placement placement;
+  std::map<const CommEvent*, EventTable> tables;  ///< per placed event
   SpmdOptions opt;
 
-  // per-run outputs
-  std::vector<Store> stores;  // per rank
+  // per-run state and outputs, one slot per rank
+  std::vector<Env> envs;
+  std::vector<Store> stores;
   std::vector<std::size_t> instances;
 };
 
@@ -208,246 +264,136 @@ bool guard_holds(const SpmdContext& ctx, const cp::CP& cp, const Env& env, int r
   return false;
 }
 
-/// Pre-compute, for one event, every rank's element needs grouped by peer.
-void build_event_cache(const hpf::Program& prog, AnchoredEvent& ae,
-                       const analysis::OwnerMap& owners, int nprocs) {
-  const std::size_t depth = ae.outer_vars.size();
-  ae.cache.resize(static_cast<std::size_t>(nprocs));
-  const analysis::ArrayOwner& owner_of = owners.of(*ae.ev->array);
-  for (int q = 0; q < nprocs; ++q) {
-    const auto vals = analysis::param_values_for_rank(prog, q);
-    ae.ev->data.enumerate(vals, [&](const std::vector<i64>& pt) {
-      std::vector<i64> prefix(pt.begin(), pt.begin() + static_cast<std::ptrdiff_t>(depth));
-      std::vector<i64> elem(pt.begin() + static_cast<std::ptrdiff_t>(depth), pt.end());
-      const int owner = owner_of.rank(elem);
-      if (owner == q) return;  // already local (can happen at block edges)
-      ae.cache[static_cast<std::size_t>(q)][prefix][owner].push_back(std::move(elem));
-    });
+/// Build one event's transfer table from every rank's box walk. Pieces of
+/// one (prefix, from, to) are merged into one transfer.
+void build_table(const SpmdContext& ctx, const CommEvent& ev, const analysis::OwnerMap& owners,
+                 EventTable& table) {
+  for (std::size_t q = 0; q < ctx.rank_params.size(); ++q) {
+    const int me = static_cast<int>(q);
+    comm::for_each_peer_count(
+        owners, ev, me, ctx.rank_params[q],
+        [&](const std::vector<i64>& prefix, int peer, std::size_t,
+            const std::vector<iset::Interval>& piece) {
+          auto& offsets =
+              table[prefix][ev.kind == EventKind::Fetch ? std::pair{peer, me} : std::pair{me, peer}];
+          for_each_flat(*ev.array, piece, [&](std::size_t f) { offsets.push_back(f); });
+        });
   }
 }
 
-/// Execute one fetch or write-back event on rank `me`.
-exec::Task exec_event(exec::Channel& p, SpmdContext& ctx, const AnchoredEvent& ae,
-                     const Env& env) {
-  const int me = p.rank();
-  const int n = p.nprocs();
+/// Execute one event instance on rank `me`: the transfers of the current
+/// outer-iteration prefix. Sends go out in ascending `to`; receives and shm
+/// pulls come in ascending `from`, the last-writer order write-back needs.
+exec::Task exec_event(exec::Channel& p, SpmdContext& ctx, const CommEvent& ev, const Env& env) {
+  const EventTable& table = ctx.tables.at(&ev);
+  const auto& path = ctx.cps->stmts.at(ev.stmt_id).path;  // ev's outer loops lead it
   std::vector<i64> prefix;
-  prefix.reserve(ae.outer_vars.size());
-  for (const auto& v : ae.outer_vars) prefix.push_back(env.at(v));
-  const int tag = 2000 + static_cast<int>(&ae - ctx.events.data());
-  auto& my_store = ctx.stores[static_cast<std::size_t>(me)][ae.ev->array];
+  for (int d = 0; d < ev.placement_depth; ++d)
+    prefix.push_back(env.at(path[static_cast<std::size_t>(d)]->var));
+  const auto it = table.find(prefix);
+  if (it == table.end()) co_return;
+  const int me = p.rank();
+  auto& mine = ctx.stores[static_cast<std::size_t>(me)].at(ev.array);
 
   if (ctx.opt.backend == exec::Backend::Shm) {
     // Shared-memory lowering: no message copies. Every rank reaches every
-    // event instance (the fetch_before/wb_after anchoring is rank-neutral),
-    // so a barrier pair brackets the exchange — the leading barrier orders
-    // the producers' writes before the readers' loads, the trailing one
-    // keeps later writes from racing ahead of a peer still reading. In
-    // between, each rank *pulls* what it needs straight out of the peer
-    // stores; ownership keeps the touched locations disjoint across ranks.
-    // Peer stores are read with .at(): the maps were fully populated before
-    // the threads started, and operator[] insertion would be a data race.
-    //
-    // When no rank has traffic for this prefix the barrier pair is skipped
-    // entirely — the caches are read-only and identical across ranks, so
-    // every rank takes the same branch (and the model's barrier_episodes
-    // count, which only sees prefixes with traffic, stays exact).
-    bool any_traffic = false;
-    for (int q = 0; q < n && !any_traffic; ++q)
-      any_traffic =
-          ae.cache[static_cast<std::size_t>(q)].find(prefix) != ae.cache[static_cast<std::size_t>(q)].end();
-    if (!any_traffic) co_return;
+    // event instance (the placement is rank-neutral) and reads the same
+    // table, so all take the early return above together, and the model's
+    // barrier_episodes (prefixes with traffic) stay exact. A barrier pair
+    // brackets the exchange: the leading barrier orders the senders' writes
+    // before the loads, the trailing one keeps later writes from racing
+    // ahead of a peer still reading. In between, each rank pulls its
+    // transfers straight out of the peer stores; ownership keeps the touched
+    // locations disjoint across ranks. Peer stores are read with .at(): the
+    // maps were fully populated before the threads started, and operator[]
+    // insertion would be a data race.
     shm::barrier(p);
     std::size_t shared_bytes = 0;
-    if (ae.ev->kind == EventKind::Fetch) {
-      // Pull my needed elements from their owners' storage.
-      const auto mit = ae.cache[static_cast<std::size_t>(me)].find(prefix);
-      if (mit != ae.cache[static_cast<std::size_t>(me)].end()) {
-        for (const auto& [owner, elems] : mit->second) {
-          const auto& src =
-              ctx.stores[static_cast<std::size_t>(owner)].at(ae.ev->array);
-          for (const auto& elem : elems) {
-            std::vector<long> idx(elem.begin(), elem.end());
-            const std::size_t f = flat_index(*ae.ev->array, idx);
-            my_store[f] = src[f];
-          }
-          shared_bytes += elems.size() * sizeof(double);
-        }
-      }
-    } else {
-      // Write-back: as owner, pull what each producer computed of my
-      // section (ascending producer rank — the same last-writer order the
-      // message path's ordered receives impose).
-      for (int q = 0; q < n; ++q) {
-        if (q == me) continue;
-        const auto pit = ae.cache[static_cast<std::size_t>(q)].find(prefix);
-        if (pit == ae.cache[static_cast<std::size_t>(q)].end()) continue;
-        const auto oit = pit->second.find(me);
-        if (oit == pit->second.end()) continue;
-        const auto& src = ctx.stores[static_cast<std::size_t>(q)].at(ae.ev->array);
-        for (const auto& elem : oit->second) {
-          std::vector<long> idx(elem.begin(), elem.end());
-          const std::size_t f = flat_index(*ae.ev->array, idx);
-          my_store[f] = src[f];
-        }
-        shared_bytes += oit->second.size() * sizeof(double);
-      }
+    for (const auto& [ft, offsets] : it->second) {
+      if (ft.second != me) continue;
+      const auto& src = ctx.stores[static_cast<std::size_t>(ft.first)].at(ev.array);
+      for (const std::size_t f : offsets) mine[f] = src[f];
+      shared_bytes += offsets.size() * sizeof(double);
     }
     shm::note_shared_read(p, shared_bytes);
     shm::barrier(p);
     co_return;
   }
 
-  if (ae.ev->kind == EventKind::Fetch) {
-    // Serve other ranks' needs from my owned section, then receive mine.
-    for (int q = 0; q < n; ++q) {
-      if (q == me) continue;
-      const auto pit = ae.cache[static_cast<std::size_t>(q)].find(prefix);
-      if (pit == ae.cache[static_cast<std::size_t>(q)].end()) continue;
-      const auto oit = pit->second.find(me);
-      if (oit == pit->second.end()) continue;
-      std::vector<double> buf;
-      buf.reserve(oit->second.size());
-      for (const auto& elem : oit->second) {
-        std::vector<long> idx(elem.begin(), elem.end());
-        buf.push_back(my_store[flat_index(*ae.ev->array, idx)]);
-      }
-      p.send(q, tag, std::move(buf));
-    }
-    const auto mit = ae.cache[static_cast<std::size_t>(me)].find(prefix);
-    if (mit != ae.cache[static_cast<std::size_t>(me)].end()) {
-      for (const auto& [owner, elems] : mit->second) {
-        auto buf = co_await p.recv(owner, tag);
-        require(buf.size() == elems.size(), "codegen", "fetch size mismatch");
-        for (std::size_t i = 0; i < elems.size(); ++i) {
-          std::vector<long> idx(elems[i].begin(), elems[i].end());
-          my_store[flat_index(*ae.ev->array, idx)] = buf[i];
-        }
-      }
-    }
-  } else {
-    // Write-back: I send the non-owned elements I produced to their owners,
-    // and receive (as owner) what other ranks produced of my section.
-    const auto mit = ae.cache[static_cast<std::size_t>(me)].find(prefix);
-    if (mit != ae.cache[static_cast<std::size_t>(me)].end()) {
-      for (const auto& [owner, elems] : mit->second) {
-        std::vector<double> buf;
-        buf.reserve(elems.size());
-        for (const auto& elem : elems) {
-          std::vector<long> idx(elem.begin(), elem.end());
-          buf.push_back(my_store[flat_index(*ae.ev->array, idx)]);
-        }
-        p.send(owner, tag, std::move(buf));
-      }
-    }
-    for (int q = 0; q < n; ++q) {
-      if (q == me) continue;
-      const auto pit = ae.cache[static_cast<std::size_t>(q)].find(prefix);
-      if (pit == ae.cache[static_cast<std::size_t>(q)].end()) continue;
-      const auto oit = pit->second.find(me);
-      if (oit == pit->second.end()) continue;
-      auto buf = co_await p.recv(q, tag);
-      require(buf.size() == oit->second.size(), "codegen", "write-back size mismatch");
-      for (std::size_t i = 0; i < buf.size(); ++i) {
-        std::vector<long> idx(oit->second[i].begin(), oit->second[i].end());
-        my_store[flat_index(*ae.ev->array, idx)] = buf[i];
-      }
-    }
+  // Tagged by plan event id, so a trace's tags join the plan, the
+  // verifier's messages and the model's per-event costs.
+  const int tag = 2000 + ev.id;
+  for (const auto& [ft, offsets] : it->second) {
+    if (ft.first != me) continue;
+    std::vector<double> buf;
+    buf.reserve(offsets.size());
+    for (const std::size_t f : offsets) buf.push_back(mine[f]);
+    p.send(ft.second, tag, std::move(buf));
+  }
+  for (const auto& [ft, offsets] : it->second) {
+    if (ft.second != me) continue;
+    const auto buf = co_await p.recv(ft.first, tag);
+    require(buf.size() == offsets.size(), "codegen", "transfer size mismatch");
+    for (std::size_t i = 0; i < buf.size(); ++i) mine[offsets[i]] = buf[i];
   }
 }
 
-exec::Task exec_callee_body(exec::Channel& p, SpmdContext& ctx,
-                           const std::vector<hpf::StmtPtr>& body, Env env, Frame frame);
-
+/// Run `body` on rank p.rank(). In main (`frame` null) every statement runs
+/// under its CP's guard, with the placed events around it. Callee bodies
+/// (whose statements are never anchors) run unguarded under the call
+/// statement's CP, their references resolved through the call frame; their
+/// data accesses must be local by construction (the §6 alignment) — a
+/// violation surfaces as NaN in verification.
 exec::Task exec_body(exec::Channel& p, SpmdContext& ctx, const std::vector<hpf::StmtPtr>& body,
-                    Env& env) {
+                    Env& env, const Frame* frame) {
   const int me = p.rank();
+  const bool in_main = frame == nullptr;
   auto& store = ctx.stores[static_cast<std::size_t>(me)];
+  const auto at = [&](const Ref& r) -> double& {
+    const Array* a = r.array;
+    std::vector<long> idx = eval_subs(r.subs, env);
+    if (!in_main) resolve(*frame, a, idx);
+    return store[a][flat_index(*a, idx)];
+  };
   for (const auto& sp : body) {
-    auto fit = ctx.fetch_before.find(sp.get());
-    if (fit != ctx.fetch_before.end())
-      for (const auto* ae : fit->second) co_await exec_event(p, ctx, *ae, env);
+    const auto bit = ctx.placement.before.find(sp.get());
+    if (bit != ctx.placement.before.end())
+      for (const auto* ev : bit->second) co_await exec_event(p, ctx, *ev, env);
 
-    if (sp->is_assign()) {
-      const Assign& a = sp->assign();
-      const int id = a.id;
-      if (guard_holds(ctx, ctx.cps->cp_of(id), env, me)) {
-        double v = a.cst;
-        for (const auto& r : a.rhs)
-          v += store[r.array][flat_index(*r.array, eval_subs(r.subs, env))];
-        store[a.lhs.array][flat_index(*a.lhs.array, eval_subs(a.lhs.subs, env))] = v;
-        ++ctx.instances[static_cast<std::size_t>(me)];
-        p.compute(ctx.opt.flops_per_instance);
-      }
-    } else if (sp->is_loop()) {
+    if (sp->is_loop()) {
       const Loop& l = sp->loop();
       const long lo = l.lo.eval(env), hi = l.hi.eval(env);
       for (long t = lo; t <= hi; ++t) {
         env[l.var] = t;
-        co_await exec_body(p, ctx, l.body, env);
+        co_await exec_body(p, ctx, l.body, env, frame);
       }
       env.erase(l.var);
-    } else {
-      const Call& c = sp->call();
-      if (guard_holds(ctx, ctx.cps->cp_of(c.id), env, me)) {
+    } else if (!in_main || guard_holds(ctx, ctx.cps->cp_of(sp->id()), env, me)) {
+      if (sp->is_assign()) {
+        const Assign& a = sp->assign();
+        double v = a.cst;
+        for (const auto& r : a.rhs) v += at(r);
+        at(a.lhs) = v;
+        ++ctx.instances[static_cast<std::size_t>(me)];
+        p.compute(ctx.opt.flops_per_instance);
+      } else {
+        const Call& c = sp->call();
         const auto* callee = ctx.prog->find_procedure(c.callee);
         Frame inner;
         for (std::size_t i = 0; i < callee->formals.size(); ++i) {
-          inner[callee->formals[i]] =
-              Binding{c.args[i].array, eval_subs(c.args[i].subs, env)};
+          const Array* target = c.args[i].array;
+          std::vector<long> off = eval_subs(c.args[i].subs, env);
+          if (!in_main) resolve(*frame, target, off);  // compose through the caller's frame
+          inner[callee->formals[i]] = Binding{target, std::move(off)};
         }
-        co_await exec_callee_body(p, ctx, callee->body, Env{}, std::move(inner));
+        Env fresh;
+        co_await exec_body(p, ctx, callee->body, fresh, &inner);
       }
     }
 
-    auto wit = ctx.wb_after.find(sp.get());
-    if (wit != ctx.wb_after.end())
-      for (const auto* ae : wit->second) co_await exec_event(p, ctx, *ae, env);
-  }
-}
-
-/// Callee bodies run unguarded under the call statement's CP; their data
-/// accesses must be local by construction (the §6 alignment) — a violation
-/// surfaces as NaN in verification.
-exec::Task exec_callee_body(exec::Channel& p, SpmdContext& ctx,
-                           const std::vector<hpf::StmtPtr>& body, Env env, Frame frame) {
-  auto& store = ctx.stores[static_cast<std::size_t>(p.rank())];
-  for (const auto& sp : body) {
-    if (sp->is_assign()) {
-      const Assign& a = sp->assign();
-      double v = a.cst;
-      for (const auto& r : a.rhs) {
-        const Array* arr = r.array;
-        std::vector<long> idx = eval_subs(r.subs, env);
-        resolve(frame, arr, idx);
-        v += store[arr][flat_index(*arr, idx)];
-      }
-      const Array* la = a.lhs.array;
-      std::vector<long> lidx = eval_subs(a.lhs.subs, env);
-      resolve(frame, la, lidx);
-      store[la][flat_index(*la, lidx)] = v;
-      ++ctx.instances[static_cast<std::size_t>(p.rank())];
-      p.compute(ctx.opt.flops_per_instance);
-    } else if (sp->is_loop()) {
-      const Loop& l = sp->loop();
-      const long lo = l.lo.eval(env), hi = l.hi.eval(env);
-      for (long t = lo; t <= hi; ++t) {
-        env[l.var] = t;
-        co_await exec_callee_body(p, ctx, l.body, env, frame);
-      }
-      env.erase(l.var);
-    } else {
-      const Call& c = sp->call();
-      const auto* callee = ctx.prog->find_procedure(c.callee);
-      Frame inner;
-      for (std::size_t i = 0; i < callee->formals.size(); ++i) {
-        const Array* target = c.args[i].array;
-        std::vector<long> off = eval_subs(c.args[i].subs, env);
-        resolve(frame, target, off);
-        inner[callee->formals[i]] = Binding{target, std::move(off)};
-      }
-      co_await exec_callee_body(p, ctx, callee->body, Env{}, std::move(inner));
-    }
+    const auto ait = ctx.placement.after.find(sp.get());
+    if (ait != ctx.placement.after.end())
+      for (const auto* ev : ait->second) co_await exec_event(p, ctx, *ev, env);
   }
 }
 
@@ -474,133 +420,73 @@ SpmdResult run_spmd(const hpf::Program& prog, const cp::CpResult& cps,
   for (int r = 0; r < nprocs; ++r)
     ctx.rank_params.push_back(analysis::param_values_for_rank(prog, r));
 
-  // Statement id -> procedure containing it, and ancestor chains in main.
-  std::map<int, std::vector<const Stmt*>> chains;
-  {
-    std::vector<const Stmt*> stack;
-    std::function<void(const std::vector<hpf::StmtPtr>&)> rec =
-        [&](const std::vector<hpf::StmtPtr>& body) {
-          for (const auto& sp : body) {
-            stack.push_back(sp.get());
-            if (sp->is_assign())
-              chains[sp->assign().id] = stack;
-            else if (sp->is_call())
-              chains[sp->call().id] = stack;
-            else
-              rec(sp->loop().body);
-            stack.pop_back();
-          }
-        };
-    rec(main_proc->body);
-  }
-
-  // Anchor the plan's events (main-procedure statements only; callee-side
-  // communication is out of scope — see the module comment).
-  ctx.events.reserve(plan.events.size());
-  for (const auto& ev : plan.events) {
-    if (ev.eliminated) continue;
-    auto cit = chains.find(ev.stmt_id);
-    if (cit == chains.end()) continue;  // statement lives in a callee
-    DHPF_COUNTER("codegen.comm_events_placed");
-    AnchoredEvent ae;
-    ae.ev = &ev;
-    const auto& chain = cit->second;
-    require(static_cast<std::size_t>(ev.placement_depth) < chain.size() + 1, "codegen",
-            "placement depth beyond nest");
-    ae.anchor = chain[std::min<std::size_t>(static_cast<std::size_t>(ev.placement_depth),
-                                            chain.size() - 1)];
-    const auto& path = cps.stmts.at(ev.stmt_id).path;
-    for (int d = 0; d < ev.placement_depth; ++d)
-      ae.outer_vars.push_back(path[static_cast<std::size_t>(d)]->var);
-    ctx.events.push_back(std::move(ae));
-  }
-  // Each event's per-rank need cache is independent of every other event's,
-  // so the builds fan out across the pass driver; the anchor lists are then
-  // populated serially in event order (their order is observable downstream).
-  exec::parallel_for(ctx.events.size(), [&](std::size_t i) {
-    build_event_cache(prog, ctx.events[i], owners, nprocs);
+  // Place the plan's events, then build their tables: each is independent
+  // of every other, so the builds fan out across the pass driver.
+  ctx.placement = place_events(*main_proc, plan);
+  std::vector<const CommEvent*> placed;
+  for (const auto* side : {&ctx.placement.before, &ctx.placement.after})
+    for (const auto& [stmt, evs] : *side) placed.insert(placed.end(), evs.begin(), evs.end());
+  if (!placed.empty()) DHPF_COUNTER_ADD("codegen.comm_events_placed", placed.size());
+  for (const auto* ev : placed) ctx.tables[ev];  // the builds only fill entries
+  exec::parallel_for(placed.size(), [&](std::size_t i) {
+    build_table(ctx, *placed[i], owners, ctx.tables.at(placed[i]));
   });
-  for (auto& ae : ctx.events) {
-    if (ae.ev->kind == EventKind::Fetch)
-      ctx.fetch_before[ae.anchor].push_back(&ae);
-    else
-      ctx.wb_after[ae.anchor].push_back(&ae);
-  }
 
   // Storage: owned (or replicated-array) elements get the initial value;
   // everything else is NaN-poisoned.
+  ctx.envs.resize(static_cast<std::size_t>(nprocs));
   ctx.stores.resize(static_cast<std::size_t>(nprocs));
   ctx.instances.assign(static_cast<std::size_t>(nprocs), 0);
-  for (int r = 0; r < nprocs; ++r) {
-    for (const auto& a : prog.arrays()) {
-      auto& v = ctx.stores[static_cast<std::size_t>(r)][a.get()];
-      v.resize(array_size(*a));
-      const analysis::ArrayOwner& owner = owners.of(*a);
-      std::vector<i64> idx(a->extents.size(), 0);
-      for (std::size_t f = 0; f < v.size(); ++f) {
-        const bool mine = !a->distributed() || owner.rank(idx) == r;
-        v[f] = mine ? init_value(*a, f) : std::numeric_limits<double>::quiet_NaN();
-        // advance the multi-index
-        for (std::size_t d = a->extents.size(); d-- > 0;) {
-          if (++idx[d] < a->extents[d]) break;
-          idx[d] = 0;
-        }
-      }
+  for (const auto& a : prog.arrays()) {
+    std::vector<double> init(array_size(*a));
+    for (std::size_t f = 0; f < init.size(); ++f) init[f] = init_value(*a, f);
+    std::vector<std::vector<double>*> copies;
+    for (auto& st : ctx.stores) {
+      auto& v = st[a.get()];
+      v = a->distributed() ? std::vector<double>(init.size(), std::numeric_limits<double>::quiet_NaN())
+                           : init;
+      copies.push_back(&v);
     }
+    if (a->distributed())
+      for_each_owned(*a, owners.of(*a), [&](int r, std::size_t f) {
+        (*copies[static_cast<std::size_t>(r)])[f] = init[f];
+      });
   }
 
   const auto body = [&](exec::Channel& p) -> exec::Task {
-    // Non-capturing coroutine lambda: its frame holds the parameters, so no
-    // dangling closure state across suspension.
-    return [](exec::Channel& pp, SpmdContext& c, const hpf::Procedure* mproc) -> exec::Task {
-      Env e;
-      co_await exec_body(pp, c, mproc->body, e);
-    }(p, ctx, main_proc);
+    return exec_body(p, ctx, main_proc->body, ctx.envs[static_cast<std::size_t>(p.rank())],
+                     nullptr);
   };
 
   // Real threads are safe here because every rank touches only its own
-  // slot of ctx.stores / ctx.instances, the event caches are read-only, and
+  // slot of ctx.envs / ctx.stores / ctx.instances, the tables are read-only, and
   // the cross-rank store reads of exec_event's shm path are bracketed by
   // barriers and disjoint by ownership.
   SpmdResult result;
   sim::run_backend(opt, nprocs, machine, body, result);
   result.instances_per_rank = ctx.instances;
 
-  if (opt.collect_result) {
+  // The owner copies of the distributed arrays, for the result and the check.
+  Store gathered;
+  if (opt.collect_result || opt.verify) {
     for (const auto& a : prog.arrays()) {
       if (!a->distributed()) continue;
-      auto& out = result.gathered[a.get()];
+      auto& out = gathered[a.get()];
       out.resize(array_size(*a));
-      const analysis::ArrayOwner& owner_of = owners.of(*a);
-      std::vector<i64> idx(a->extents.size(), 0);
-      for (std::size_t f = 0; f < out.size(); ++f) {
-        const int owner = owner_of.rank(idx);
-        out[f] = ctx.stores[static_cast<std::size_t>(owner)].at(a.get())[f];
-        for (std::size_t dd = a->extents.size(); dd-- > 0;) {
-          if (++idx[dd] < a->extents[dd]) break;
-          idx[dd] = 0;
-        }
-      }
+      for_each_owned(*a, owners.of(*a), [&](int r, std::size_t f) {
+        out[f] = ctx.stores[static_cast<std::size_t>(r)].at(a.get())[f];
+      });
     }
   }
 
   if (opt.verify) {
     const Store serial = interpret_serial(prog);
     double worst = 0.0;
-    for (const auto& a : prog.arrays()) {
-      if (!a->distributed()) continue;
-      const auto& ref = serial.at(a.get());
-      const analysis::ArrayOwner& owner_of = owners.of(*a);
-      std::vector<i64> idx(a->extents.size(), 0);
+    for (const auto& [a, got] : gathered) {
+      const auto& ref = serial.at(a);
       for (std::size_t f = 0; f < ref.size(); ++f) {
-        const int owner = owner_of.rank(idx);
-        const double got = ctx.stores[static_cast<std::size_t>(owner)].at(a.get())[f];
-        const double d = std::fabs(got - ref[f]);
+        const double d = std::fabs(got[f] - ref[f]);
         if (!(d <= worst)) worst = std::isnan(d) ? 1e30 : std::max(worst, d);
-        for (std::size_t dd = a->extents.size(); dd-- > 0;) {
-          if (++idx[dd] < a->extents[dd]) break;
-          idx[dd] = 0;
-        }
       }
     }
     result.max_err = worst;
@@ -608,6 +494,7 @@ SpmdResult run_spmd(const hpf::Program& prog, const cp::CpResult& cps,
             "SPMD verification failed: max |err| = " + std::to_string(worst) +
                 " (NaN indicates missing communication)");
   }
+  if (opt.collect_result) result.gathered = std::move(gathered);
   return result;
 }
 
@@ -615,36 +502,30 @@ SpmdResult run_spmd(const hpf::Program& prog, const cp::CpResult& cps,
 
 namespace {
 
-void emit_body(std::ostringstream& out, const hpf::Program& prog, const cp::CpResult& cps,
-               const std::map<const Stmt*, std::vector<const CommEvent*>>& fetches,
-               const std::map<const Stmt*, std::vector<const CommEvent*>>& wbs,
+void emit_body(std::ostringstream& out, const cp::CpResult& cps, const Placement& placement,
                const std::vector<hpf::StmtPtr>& body, int indent) {
   const std::string pad(static_cast<std::size_t>(indent) * 2, ' ');
   for (const auto& sp : body) {
-    auto fit = fetches.find(sp.get());
-    if (fit != fetches.end())
-      for (const auto* ev : fit->second)
+    const auto bit = placement.before.find(sp.get());
+    if (bit != placement.before.end())
+      for (const auto* ev : bit->second)
         out << pad << "! RECV " << ev->to_string() << "\n";
-    if (sp->is_assign()) {
-      const Assign& a = sp->assign();
-      DHPF_COUNTER("codegen.guards_emitted");
-      out << pad << "if (myid in [" << cps.cp_of(a.id).to_string() << "]) S" << a.id << ": "
-          << hpf::assign_to_string(a) << "\n";
-    } else if (sp->is_call()) {
-      const Call& c = sp->call();
-      DHPF_COUNTER("codegen.guards_emitted");
-      out << pad << "if (myid in [" << cps.cp_of(c.id).to_string() << "]) S" << c.id
-          << ": call " << c.callee << "(...)\n";
-    } else {
+    if (sp->is_loop()) {
       const Loop& l = sp->loop();
       out << pad << "do " << l.var << " = " << l.lo.to_string() << ", " << l.hi.to_string()
           << "\n";
-      emit_body(out, prog, cps, fetches, wbs, l.body, indent + 1);
+      emit_body(out, cps, placement, l.body, indent + 1);
       out << pad << "enddo\n";
+    } else {
+      DHPF_COUNTER("codegen.guards_emitted");
+      out << pad << "if (myid in [" << cps.cp_of(sp->id()).to_string() << "]) S" << sp->id() << ": "
+          << (sp->is_assign() ? hpf::assign_to_string(sp->assign())
+                              : "call " + sp->call().callee + "(...)")
+          << "\n";
     }
-    auto wit = wbs.find(sp.get());
-    if (wit != wbs.end())
-      for (const auto* ev : wit->second)
+    const auto ait = placement.after.find(sp.get());
+    if (ait != placement.after.end())
+      for (const auto* ev : ait->second)
         out << pad << "! SEND " << ev->to_string() << "\n";
   }
 }
@@ -657,45 +538,13 @@ std::string emit_spmd(const hpf::Program& prog, const cp::CpResult& cps,
   const hpf::Procedure* main_proc = prog.find_procedure("main");
   require(main_proc != nullptr, "codegen", "program must define procedure main");
 
-  std::map<int, std::vector<const Stmt*>> chains;
-  {
-    std::vector<const Stmt*> stack;
-    std::function<void(const std::vector<hpf::StmtPtr>&)> rec =
-        [&](const std::vector<hpf::StmtPtr>& body) {
-          for (const auto& sp : body) {
-            stack.push_back(sp.get());
-            if (sp->is_assign())
-              chains[sp->assign().id] = stack;
-            else if (sp->is_call())
-              chains[sp->call().id] = stack;
-            else
-              rec(sp->loop().body);
-            stack.pop_back();
-          }
-        };
-    rec(main_proc->body);
-  }
-  std::map<const Stmt*, std::vector<const CommEvent*>> fetches, wbs;
-  std::ostringstream eliminated;
-  for (const auto& ev : plan.events) {
-    auto cit = chains.find(ev.stmt_id);
-    if (cit == chains.end()) continue;
-    if (ev.eliminated) {
-      eliminated << "!   " << ev.to_string() << "\n";
-      continue;
-    }
-    const Stmt* anchor =
-        cit->second[std::min<std::size_t>(static_cast<std::size_t>(ev.placement_depth),
-                                          cit->second.size() - 1)];
-    (ev.kind == EventKind::Fetch ? fetches : wbs)[anchor].push_back(&ev);
-  }
-
+  const Placement placement = place_events(*main_proc, plan);
   std::ostringstream out;
   out << "! SPMD node program (representative processor myid)\n";
-  if (eliminated.tellp() > 0)
-    out << "! communication eliminated by data availability analysis (sec 7):\n"
-        << eliminated.str();
-  emit_body(out, prog, cps, fetches, wbs, main_proc->body, 0);
+  if (!placement.eliminated.empty())
+    out << "! communication eliminated by data availability analysis (sec 7):\n";
+  for (const auto* ev : placement.eliminated) out << "!   " << ev->to_string() << "\n";
+  emit_body(out, cps, placement, main_proc->body, 0);
   return out.str();
 }
 

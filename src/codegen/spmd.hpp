@@ -1,10 +1,16 @@
 // SPMD code generation and execution.
 //
-// The "generated node program" is executed directly: every simulated rank
-// interprets the HPF-lite program, guarding each statement instance by its
-// computation partitioning (ON_HOME membership for the rank's block bounds)
-// and performing the communication plan's fetch / write-back events with
-// real data on the simulated machine.
+// The "generated node program" is executed directly: every rank interprets
+// the HPF-lite program with one statement walker, guarding each statement
+// instance of main by its computation partitioning (ON_HOME membership for
+// the rank's block bounds); callee bodies run unguarded under the call's
+// CP. Each fetch / write-back event of main runs from one transfer table,
+// built before the ranks start from the box walk the model and verifier
+// count with (comm::for_each_peer_count): per outer-iteration prefix, the
+// flat offsets each (from, to) pair moves. On sim and mp the transfers are
+// messages tagged 2000 + the plan event id; on shm they are direct pulls
+// from the peer's store between a barrier pair. Callee-side communication
+// is out of scope.
 //
 // Verification oracle: each rank's local storage is initialized to the
 // deterministic initial value only for elements it *owns* (plus fully

@@ -361,8 +361,9 @@ void for_each_peer_count(const analysis::OwnerMap& owners, const CommEvent& ev, 
   const analysis::ArrayOwner& owner = owners.of(*ev.array);
   std::vector<iset::i64> prefix(depth);
   std::vector<iset::Interval> elems;
-  const std::function<void(int, std::size_t)> piece = [&](int peer, std::size_t n) {
-    if (peer != rank) cb(prefix, peer, n);  // else local (block-edge clamping)
+  const analysis::ArrayOwner::BlockFn piece = [&](int peer, std::size_t n,
+                                                   const std::vector<iset::Interval>& box) {
+    if (peer != rank) cb(prefix, peer, n, box);  // else local (block-edge clamping)
   };
   iset::walk_boxes({{&ev.data, &params}}, depth,
                    [&](const std::vector<iset::Interval>& box,

@@ -71,15 +71,16 @@ struct CommPlan {
 CommPlan generate_comm(const hpf::Program& prog, const cp::CpResult& cps,
                        const CommOptions& opt = {});
 
-/// One event's element traffic at one rank, counted without listing the
-/// elements: `ev.data` at `params` (the rank's parameter values) is walked
-/// in boxes, folded below the outer-loop prefix, and each box is split at
-/// BLOCK boundaries. cb gets (outer-loop prefix, peer rank, element count)
-/// for every piece whose owner is not `rank` (fetch: the peer sends to
-/// `rank`; write-back: `rank` sends to the peer). One (prefix, peer) may
-/// arrive in several pieces, which callers add up.
-using PeerCountFn =
-    std::function<void(const std::vector<iset::i64>& prefix, int peer, std::size_t elems)>;
+/// One event's element traffic at one rank, walked in boxes rather than
+/// listed: `ev.data` at `params` (the rank's parameter values) is walked in
+/// boxes, folded below the outer-loop prefix, and each box is split at
+/// BLOCK boundaries. cb gets (outer-loop prefix, peer rank, element count,
+/// element box) for every piece whose owner is not `rank` (fetch: the peer
+/// sends to `rank`; write-back: `rank` sends to the peer). One (prefix,
+/// peer) may arrive in several disjoint pieces, which callers add up.
+using PeerCountFn = std::function<void(const std::vector<iset::i64>& prefix, int peer,
+                                       std::size_t elems,
+                                       const std::vector<iset::Interval>& piece)>;
 void for_each_peer_count(const analysis::OwnerMap& owners, const CommEvent& ev, int rank,
                          const std::vector<iset::i64>& params, const PeerCountFn& cb);
 

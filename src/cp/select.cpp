@@ -419,8 +419,6 @@ void collect_loops(const std::vector<hpf::StmtPtr>& body,
   }
 }
 
-int stmt_id(const Stmt& s) { return s.is_assign() ? s.assign().id : s.call().id; }
-
 CP vectorize_through_path(const CP& cp, const std::vector<const Loop*>& path) {
   if (cp.is_replicated()) return cp;
   CP out;
@@ -496,7 +494,7 @@ void select_for_procedure(const hpf::Procedure& proc, ProcContext& ctx) {
     StmtCp sc;
     sc.stmt = &s;
     sc.path = path;
-    const int id = stmt_id(s);
+    const int id = s.id();
     res.stmts[id] = std::move(sc);
     ids.push_back(id);
   });

@@ -169,6 +169,8 @@ struct Stmt {
   [[nodiscard]] const Loop& loop() const { return std::get<Loop>(node); }
   [[nodiscard]] Call& call() { return std::get<Call>(node); }
   [[nodiscard]] const Call& call() const { return std::get<Call>(node); }
+  /// Id of an assignment or call (loops have none).
+  [[nodiscard]] int id() const { return is_assign() ? assign().id : call().id; }
 };
 
 /// Source location of whatever kind of statement this is.

@@ -114,7 +114,7 @@ Prediction predict(const hpf::Program& prog, const cp::CpResult& cps,
   // iteration points rank q executes is the cardinality of
   // iterations_on_home(space, CP) at q's block-bound parameter values.
   // Callee statements execute unguarded under the call statement's CP
-  // (codegen::exec_callee_body), so calls are counted as on-home call
+  // (codegen's exec_body with a call frame), so calls are counted as on-home call
   // instances times the callee's per-invocation instance count, and callee
   // statement ids are skipped in the direct pass.
   const hpf::Procedure* main_proc =
@@ -183,7 +183,7 @@ Prediction predict(const hpf::Program& prog, const cp::CpResult& cps,
 
   // ---- communication: per-event, per-prefix, per-rank message loads ----
   //
-  // Grouping mirrors codegen::build_event_cache: within one event and one
+  // Grouping mirrors codegen's transfer tables: within one event and one
   // outer-iteration prefix, rank q exchanges one message per peer it needs
   // elements from (fetch: owner -> q; write-back: q -> owner). The critical
   // rank of a prefix is the one with the largest alpha/beta-weighted
@@ -228,7 +228,8 @@ Prediction predict(const hpf::Program& prog, const cp::CpResult& cps,
       // peer element counts for rank q, keyed by (prefix, peer)
       std::map<std::pair<std::vector<i64>, int>, std::size_t> groups;
       comm::for_each_peer_count(owners, ev, q, vals[static_cast<std::size_t>(q)],
-                                [&](const std::vector<i64>& prefix, int peer, std::size_t elems) {
+                                [&](const std::vector<i64>& prefix, int peer, std::size_t elems,
+                                    const std::vector<iset::Interval>&) {
                                   groups[{prefix, peer}] += elems;
                                 });
       for (const auto& [key, elems] : groups) {

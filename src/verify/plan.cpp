@@ -136,14 +136,17 @@ Schedule derive_schedule(const hpf::Program& prog, const comm::CommPlan& plan) {
     std::map<std::pair<int, int>, std::size_t> pairs;
     for (int q = 0; q < n; ++q)
       comm::for_each_peer_count(owners, ev, q, vals[static_cast<std::size_t>(q)],
-                                [&](const std::vector<i64>&, int peer, std::size_t elems) {
+                                [&](const std::vector<i64>&, int peer, std::size_t elems,
+                                    const std::vector<iset::Interval>&) {
                                   if (ev.kind == comm::EventKind::Fetch)
                                     pairs[{peer, q}] += elems;
                                   else
                                     pairs[{q, peer}] += elems;
                                 });
-    // Messages in deterministic (from, to) order; ops per event mirror
-    // codegen::exec_event — every rank serves its sends, then receives.
+    // One message per (from, to) pair, summed over the event's prefixes, in
+    // the (from, to) order of codegen's transfer tables. Ops per event follow
+    // codegen::exec_event: every rank makes its sends (ascending `to`), then
+    // its receives (ascending `from`); the run tags them 2000 + event_id.
     std::vector<int> event_msgs;
     for (const auto& [ft, elems] : pairs) {
       Message m;

@@ -7,10 +7,14 @@
 // initial value) in an owner copy and fails verification.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
 #include "codegen/spmd.hpp"
 #include "comm/comm.hpp"
 #include "cp/select.hpp"
 #include "hpf/parser.hpp"
+#include "model/model.hpp"
 
 namespace dhpf {
 namespace {
@@ -309,6 +313,31 @@ TEST(E2E, Sec7OffKeepsTheRedundantMessages) {
   EXPECT_LT(r_off.max_err, 1e-12);
   EXPECT_LT(r_on.max_err, 1e-12);
   EXPECT_LT(r_on.stats.messages, r_off.stats.messages);
+}
+
+TEST(E2E, MessageTagsJoinModelEventCosts) {
+  // Every message is tagged 2000 + its plan event id, so a sim trace grouped
+  // by tag gives each event's messages and bytes, which must equal the
+  // model's EventCost. The §7 kernel has eliminated events, so plan ids and
+  // positions among the live events differ there.
+  for (const char* src : {kFig41, kFig42, kSec7}) {
+    Program prog = parse(src);
+    CpResult cps = cp::select_cps(prog);
+    CommPlan plan = comm::generate_comm(prog, cps);
+    SpmdOptions opt;
+    opt.record_trace = true;
+    const SpmdResult r = run_spmd(prog, cps, plan, exec::Machine::sp2(), opt);
+    std::map<int, std::pair<std::size_t, std::size_t>> measured, predicted;
+    for (const auto& m : r.trace.messages) {
+      auto& [msgs, bytes] = measured[m.tag - 2000];
+      ++msgs;
+      bytes += m.bytes;
+    }
+    for (const auto& ec : model::predict(prog, cps, plan, exec::Machine::sp2()).events)
+      if (ec.messages > 0) predicted[ec.event_id] = {ec.messages, ec.bytes};
+    EXPECT_FALSE(measured.empty());
+    EXPECT_EQ(measured, predicted);
+  }
 }
 
 // ----------------------------------------------- §6 interprocedural

@@ -30,6 +30,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -561,10 +562,16 @@ BOTH_BACKENDS(sleep_compute_mode_realizes_modelled_time, MpRuntime,
 // barrier-fenced direct reads, and the barrier / shared-byte counters must
 // equal the model's exact aggregates.
 
+/// Overrides selected CPs before communication is derived (a test's own,
+/// non-default partitioning choice).
+using CpOverride = std::function<void(hpf::Program&, cp::CpResult&)>;
+
 codegen::SpmdResult compile_and_run(const std::string& src, Backend backend,
-                                    model::Prediction* pred = nullptr) {
+                                    model::Prediction* pred = nullptr,
+                                    const CpOverride& force = {}) {
   hpf::Program prog = hpf::parse(src);
   cp::CpResult cps = cp::select_cps(prog);
+  if (force) force(prog, cps);
   comm::CommPlan plan = comm::generate_comm(prog, cps);
   codegen::SpmdOptions opt;
   opt.backend = backend;
@@ -639,13 +646,35 @@ struct SimAndThreads {
 };
 
 /// Run `src` on sim and on `backend`: both match the serial oracle bit for
-/// bit and execute the same statement instances on every rank.
-SimAndThreads expect_matches_sim(const std::string& src, Backend backend) {
-  SimAndThreads out{compile_and_run(src, Backend::Sim), compile_and_run(src, backend)};
+/// bit and execute the same statement instances on every rank. With `pred`,
+/// the model's prediction for the plan is stored there.
+SimAndThreads expect_matches_sim(const std::string& src, Backend backend,
+                                 const CpOverride& force = {},
+                                 model::Prediction* pred = nullptr) {
+  SimAndThreads out{compile_and_run(src, Backend::Sim, nullptr, force),
+                    compile_and_run(src, backend, pred, force)};
   EXPECT_EQ(out.sim.max_err, 0.0);
   EXPECT_EQ(out.threads.max_err, 0.0);
   EXPECT_EQ(out.sim.instances_per_rank, out.threads.instances_per_rank);
   return out;
+}
+
+/// expect_matches_sim, plus the traffic contract: mp sends exactly sim's
+/// messages, and shm sends none, reads sim's bytes directly and enters the
+/// model's barrier episodes.
+void expect_traffic_matches_sim(const std::string& src, Backend backend,
+                                const CpOverride& force = {}) {
+  model::Prediction pred;
+  const SimAndThreads r = expect_matches_sim(src, backend, force, &pred);
+  EXPECT_GT(r.sim.stats.messages, 0u);
+  if (backend == Backend::Mp) {
+    EXPECT_EQ(r.threads.mp_stats.messages, r.sim.stats.messages);
+    EXPECT_EQ(r.threads.mp_stats.bytes, r.sim.stats.bytes);
+  } else {
+    EXPECT_EQ(r.threads.shm_stats.messages, 0u);
+    EXPECT_EQ(r.threads.shm_stats.shared_read_bytes, r.sim.stats.bytes);
+    EXPECT_EQ(r.threads.shm_stats.barriers, pred.barrier_episodes);
+  }
 }
 
 BOTH_BACKENDS(stencil_1d_matches_oracle, MpSpmd, Stencil1DMatchesOracleAt2To16Ranks, ShmSpmd,
@@ -684,6 +713,57 @@ BOTH_BACKENDS(fig41_matches_oracle, MpSpmd, Fig41PrivatizableMatchesOracleOnBoth
 BOTH_BACKENDS(fig42_matches_oracle, MpSpmd, Fig42LocalizeMatchesOracleOnBothBackends, ShmSpmd,
               Fig42LocalizeMatchesOracle) {
   expect_matches_sim(kFig42, backend);
+}
+
+// The forced non-owner CP of WriteBack.EmittedForPureNonOwnerWrites: the
+// statement runs on the home of b(i) and writes a(i+1), so every block's
+// last value is written back to its owner.
+const char* kWriteBack = R"(
+  processors P(4)
+  array a(24) distribute (block:0) onto P
+  array b(24) distribute (block:0) onto P
+  procedure main()
+    do i = 1, 22
+      a(i+1) = b(i)
+    enddo
+  end
+)";
+
+void force_non_owner_cp(hpf::Program& prog, cp::CpResult& cps) {
+  const auto& stmt = prog.main()->body[0]->loop().body[0]->assign();
+  cps.stmts.at(stmt.id).cp = cp::CP::on_home(stmt.rhs[0]);
+}
+
+BOTH_BACKENDS(write_back_matches_oracle, MpSpmd, WriteBackMatchesOracle, ShmSpmd,
+              WriteBackMatchesOracle) {
+  expect_traffic_matches_sim(kWriteBack, backend, force_non_owner_cp);
+}
+
+// A 2-D stencil on P(2, 2) with diagonal reads: every rank exchanges with
+// all three peers in each of the two time steps.
+const char* kStencil2D = R"(
+  processors P(2, 2)
+  array a(16, 16) distribute (block:0, block:1) onto P
+  array b(16, 16) distribute (block:0, block:1) onto P
+  procedure main()
+    do t = 1, 2
+      do j = 1, 14
+        do i = 1, 14
+          a(i, j) = b(i-1, j-1) + b(i-1, j+1) + b(i+1, j-1) + b(i+1, j+1) + b(i, j)
+        enddo
+      enddo
+      do j = 1, 14
+        do i = 1, 14
+          b(i, j) = a(i, j)
+        enddo
+      enddo
+    enddo
+  end
+)";
+
+BOTH_BACKENDS(stencil_2d_matches_oracle, MpSpmd, Stencil2DSeveralPeersMatchesOracle, ShmSpmd,
+              Stencil2DSeveralPeersMatchesOracle) {
+  expect_traffic_matches_sim(kStencil2D, backend);
 }
 
 // ------------------------------------------- NAS variants on real threads

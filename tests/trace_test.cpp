@@ -275,17 +275,15 @@ TEST_F(TraceTest, ChromeTraceExportsThreadNamesAndSlices) {
 }
 
 TEST_F(TraceTest, ProfileAttributesSelfTimeToDirectParents) {
-  trace::Recorder& rec = trace::Recorder::global();
-  rec.set_thread_label("main");
-  {
-    trace::Span outer(std::string_view("p.outer"), trace::Kind::Pass);
-    std::this_thread::sleep_for(std::chrono::milliseconds(4));
-    {
-      trace::Span inner(std::string_view("p.inner"), trace::Kind::Phase);
-      std::this_thread::sleep_for(std::chrono::milliseconds(8));
-    }
-  }
-  const std::vector<trace::ProfileRow> rows = trace::profile(rec.drain());
+  // Fixed timestamps: a 12 ms outer span whose last 8 ms are an inner span.
+  trace::TraceDump dump;
+  dump.names = {"p.outer", "p.inner"};
+  trace::ThreadDump thread;
+  thread.label = "main";
+  thread.events.push_back(trace::Event{0, 12'000'000, 0, 0, 0, trace::Kind::Pass, 0});
+  thread.events.push_back(trace::Event{4'000'000, 12'000'000, 1, 1, 1, trace::Kind::Phase, 0});
+  dump.threads.push_back(thread);
+  const std::vector<trace::ProfileRow> rows = trace::profile(dump);
   ASSERT_EQ(rows.size(), 2u);
   const auto find = [&](const std::string& n) {
     auto it = std::find_if(rows.begin(), rows.end(),
