@@ -1,9 +1,14 @@
 // Minimal coroutine task type for SPMD node programs.
 //
 // Each rank of an execution backend runs an `exec::Task` coroutine. Tasks
-// are eagerly-started by the backend, may co_await other Tasks (symmetric
-// transfer, so deep call chains do not grow the machine stack), and
-// propagate exceptions to the awaiter / the backend.
+// are eagerly-started by the backend, may co_await other Tasks, and
+// propagate exceptions to the awaiter / the backend. An awaited task runs
+// inside its awaiter's await_suspend; when it finishes without suspending
+// (the common case: no blocking receive on the way) the awaiter simply
+// continues, so a loop of awaited calls uses constant machine stack even
+// where the compiler does not turn a symmetric transfer into a tail call
+// (sanitizer builds). Only a task that suspended resumes its awaiter by
+// symmetric transfer.
 //
 // The same coroutine runs on every backend: on the deterministic simulator
 // (src/sim) a blocking receive suspends the coroutine until the engine
@@ -23,6 +28,7 @@ class [[nodiscard]] Task {
  public:
   struct promise_type {
     std::coroutine_handle<> continuation;  // who to resume when we finish
+    bool awaiter_running = false;          // the awaiter is still in await_suspend
     std::exception_ptr exception;
 
     Task get_return_object() {
@@ -33,8 +39,9 @@ class [[nodiscard]] Task {
     struct FinalAwaiter {
       bool await_ready() noexcept { return false; }
       std::coroutine_handle<> await_suspend(std::coroutine_handle<promise_type> h) noexcept {
-        auto cont = h.promise().continuation;
-        return cont ? cont : std::noop_coroutine();
+        const auto& pr = h.promise();
+        if (pr.awaiter_running || !pr.continuation) return std::noop_coroutine();
+        return pr.continuation;
       }
       void await_resume() noexcept {}
     };
@@ -73,9 +80,13 @@ class [[nodiscard]] Task {
     struct Awaiter {
       std::coroutine_handle<promise_type> child;
       bool await_ready() const noexcept { return !child || child.done(); }
-      std::coroutine_handle<> await_suspend(std::coroutine_handle<> parent) noexcept {
-        child.promise().continuation = parent;
-        return child;  // symmetric transfer into the child
+      bool await_suspend(std::coroutine_handle<> parent) noexcept {
+        auto& pr = child.promise();
+        pr.continuation = parent;
+        pr.awaiter_running = true;
+        child.resume();
+        pr.awaiter_running = false;
+        return !child.done();  // finished: continue the parent on this stack
       }
       void await_resume() const {
         if (child && child.promise().exception)

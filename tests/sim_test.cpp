@@ -179,6 +179,27 @@ TEST(Sim, NestedTaskCallsWork) {
   EXPECT_DOUBLE_EQ(result, 12.0);
 }
 
+TEST(Sim, LoopOfAwaitedTasksUsesConstantStack) {
+  // Node programs await one child task per loop iteration. A child that
+  // finishes without suspending returns straight to its awaiter, so every
+  // child runs at the same stack depth however many came before; a stack
+  // that grew per iteration would overflow on long loops in builds that do
+  // not make symmetric transfer a tail call (sanitizer builds).
+  struct Helper {
+    static exec::Task leaf(std::vector<const void*>& frames) {
+      frames.push_back(__builtin_frame_address(0));
+      co_return;
+    }
+  };
+  std::vector<const void*> frames;
+  Engine e(1, fast());
+  e.run([&](Process&) -> exec::Task {
+    for (int i = 0; i < 100000; ++i) co_await Helper::leaf(frames);
+  });
+  ASSERT_EQ(frames.size(), 100000u);
+  EXPECT_EQ(frames.front(), frames.back());
+}
+
 TEST(Sim, IrecvWaitEquivalentToRecv) {
   Engine e(2, fast());
   e.run([&](Process& p) -> exec::Task {
